@@ -105,6 +105,14 @@ def _parse_symbol(text: str):
     return int(text) if _re.fullmatch(r"[+-]?\d+", text) else text
 
 
+def _sample_count(text: str) -> int:
+    """``--samples`` values: a count, so never negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_alphabet(text: str | None):
     if text is None:
         return None
@@ -216,11 +224,11 @@ def cmd_enumerate(args) -> int:
         raise ParseError(f"--max-states must be at least 1, got {args.max_states}")
     trace, out_alpha, in_alpha, echo = _load_trace(args)
     echo["max_states"] = args.max_states
-    counts = []
-    machines = []
-    for bound in range(1, args.max_states + 1):
-        machines = enumerate_consistent(trace, bound, out_alpha, in_alpha)
-        counts.append({"max_states": bound, "count": len(machines)})
+    machines = enumerate_consistent(trace, args.max_states, out_alpha, in_alpha)
+    counts = [
+        {"max_states": bound, "count": sum(m.state_count <= bound for m in machines)}
+        for bound in range(1, args.max_states + 1)
+    ]
     results = {
         "counts": counts,
         "count": counts[-1]["count"],
@@ -699,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chsh", parents=[common], help="CHSH value vs the LHV bound")
     p.add_argument("--config", default=None, help="JSON with optional 'state' and 'angles'")
-    p.add_argument("--samples", type=int, default=None, help="finite-sample estimates per setting")
+    p.add_argument("--samples", type=_sample_count, default=None, help="finite-sample estimates per setting")
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("ks", parents=[common], help="Peres-Mermin square contextuality check")
@@ -707,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noclone", parents=[common], help="no-cloning gaps and the record-level analogue")
     p.add_argument("--config", default=None, help="JSON with a 'pairs' array of state pairs")
-    p.add_argument("--samples", type=int, default=None, help="number of random pairs")
+    p.add_argument("--samples", type=_sample_count, default=None, help="number of random pairs")
     p.set_defaults(func=cmd_noclone)
 
     p = sub.add_parser("exchange", parents=[common], help="records invariant under source exchange")
@@ -716,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geiger", parents=[common], help="deterministic counter outcomes per source")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector)")
-    p.add_argument("--samples", type=int, default=None, help="Poisson-sampled counts per source")
+    p.add_argument("--samples", type=_sample_count, default=None, help="Poisson-sampled counts per source")
     p.set_defaults(func=cmd_geiger)
 
     return parser

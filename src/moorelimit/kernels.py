@@ -1,36 +1,119 @@
-"""Backend selection for the hot enumeration kernel.
+"""Enumeration search: every minimal machine that reproduces a trace.
 
-The candidate filter behind ``enumerate_consistent`` dominates runtime, so it
-exists twice: a Cython extension (``_kernels_cy``) and a pure-Python twin
-(``_kernels_py``).  The compiled one is picked at import when built; results
-are identical either way.  Set ``MOORELIMIT_BACKEND=python`` or ``=cython`` to
-force a backend (the latter raises if the extension is missing).
+Everything here works on integer-indexed alphabets: inputs are indices into
+the input alphabet, outputs indices into the output alphabet.  A machine with
+``n`` states is encoded as the tuple ``(n, *delta, *lam)``: ``delta`` is the
+flat transition table (``delta[s * n_inputs + i]`` is the successor of state
+``s`` under input ``i``) and ``lam`` the output of each state.
+
+The search generates transition tables that are already in canonical form:
+every state is reachable from state 0 and the states are numbered in the
+order a breadth-first walk from state 0 discovers them, inputs taken in
+alphabet order (Almeida, Moreira & Reis, TCS 387, 2007).  Each minimal
+machine has exactly one such table, so a candidate that reproduces the trace
+and whose states are pairwise distinguishable is a new behavior: no
+minimization and no deduplication are needed.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 
-_requested = os.environ.get("MOORELIMIT_BACKEND", "").strip().lower()
+#: The search is plain Python; benchmark records name it so runs compare.
+BACKEND = "python"
 
-if _requested == "python":
-    from . import _kernels_py as _impl
 
-    BACKEND = "python"
-elif _requested == "cython":
-    from . import _kernels_cy as _impl  # type: ignore[attr-defined]
+def refine(n_inputs: int, delta, lam) -> list[int]:
+    """Coarsest partition of the states that respects outputs and transitions.
 
-    BACKEND = "cython"
-elif _requested == "":
-    try:
-        from . import _kernels_cy as _impl  # type: ignore[attr-defined]
+    States start grouped by output and are split until every block's members
+    step into the same blocks under every input (Moore 1956).  Returns the
+    block of each state, blocks numbered in order of their first state; two
+    states share a block exactly when no experiment distinguishes them.
+    """
+    block = list(lam)
+    n_blocks = len(set(block))
+    while True:
+        sigs: dict[tuple[int, ...], int] = {}
+        new = []
+        for s in range(len(block)):
+            base = s * n_inputs
+            sig = (block[s], *[block[t] for t in delta[base : base + n_inputs]])
+            new.append(sigs.setdefault(sig, len(sigs)))
+        block = new
+        if len(sigs) == n_blocks:
+            return block
+        n_blocks = len(sigs)
 
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as _impl
 
-        BACKEND = "python"
-else:
-    raise RuntimeError(f"MOORELIMIT_BACKEND must be 'python' or 'cython', got {_requested!r}")
+def consistent_machine_encodings(
+    n_states: int,
+    n_inputs: int,
+    n_outputs: int,
+    trace_inputs: tuple[int, ...],
+    trace_outputs: tuple[int, ...],
+) -> list[tuple[int, ...]]:
+    """Encodings of all distinct behaviors with <= n_states states matching the trace.
 
-consistent_machine_encodings = _impl.consistent_machine_encodings
+    The flat table is filled one slot at a time in (state, input) order.  A
+    slot's target is a state discovered so far or, while fewer than
+    ``n_states`` exist, the next new one; the table is complete once every
+    discovered state's row is filled.  After each slot the trace is replayed
+    as far as the filled slots allow, and a state forced to two different
+    outputs prunes the whole subtree.  States the trace never visits take
+    every output.  A complete candidate is kept iff :func:`refine` leaves
+    every state in its own block.  The result is sorted by encoding.
+    """
+    if min(n_states, n_inputs, n_outputs) < 1:
+        raise ValueError("state and alphabet sizes must be >= 1")
+    if len(trace_outputs) != len(trace_inputs) + 1:
+        raise ValueError("trace must have exactly one more output than inputs")
+    k = n_inputs
+    steps = len(trace_inputs)
+    delta = [0] * (n_states * k)
+    forced = [-1] * n_states
+    forced[0] = trace_outputs[0]
+    # Depth-first search in increasing target order yields each size's
+    # tables in lexicographic order, so one list per size is already sorted.
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(n_states + 1)]
+
+    def complete(n: int) -> None:
+        flat = tuple(delta[: n * k])
+        lam = forced[:n]
+        free = [s for s in range(n) if lam[s] < 0]
+        for outputs in itertools.product(range(n_outputs), repeat=len(free)):
+            for s, v in zip(free, outputs):
+                lam[s] = v
+            if max(refine(k, flat, lam)) == n - 1:
+                by_size[n].append((n, *flat, *lam))
+
+    def fill(slot: int, n: int, pos: int, state: int) -> None:
+        # ``pos`` trace steps are replayed and end in ``state``; ``n`` states
+        # are discovered and slots below ``slot`` are filled.
+        newly_forced = []
+        contradicted = False
+        while pos < steps:
+            i = state * k + trace_inputs[pos]
+            if i >= slot:
+                break
+            state = delta[i]
+            pos += 1
+            have = forced[state]
+            if have < 0:
+                forced[state] = trace_outputs[pos]
+                newly_forced.append(state)
+            elif have != trace_outputs[pos]:
+                contradicted = True
+                break
+        if not contradicted:
+            if slot == n * k:
+                complete(n)
+            else:
+                for target in range(min(n + 1, n_states)):
+                    delta[slot] = target
+                    fill(slot + 1, n + (target == n), pos, state)
+        for s in newly_forced:
+            forced[s] = -1
+
+    fill(0, 1, 0, 0)
+    return [enc for bucket in by_size for enc in bucket]

@@ -12,9 +12,8 @@ with a minimal separating experiment.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
@@ -46,6 +45,11 @@ def _unique(symbols: Iterable[Symbol], what: str) -> tuple[Symbol, ...]:
     return tuple(out)
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a bool: ``True`` must not pass as state 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Machine:
     """A deterministic finite state machine with per-state outputs.
@@ -68,22 +72,22 @@ class Machine:
         object.__setattr__(self, "transition", tuple(tuple(row) for row in self.transition))
         object.__setattr__(self, "output", tuple(self.output))
         n = self.state_count
-        if n < 1:
-            raise ValueError("state_count must be >= 1")
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"state_count must be an integer >= 1, got {n!r}")
         if len(self.transition) != n:
             raise ValueError("transition table must have one row per state")
         for s, row in enumerate(self.transition):
             if len(row) != len(self.input_alphabet):
                 raise ValueError(f"transition row {s} must cover the input alphabet")
             for t in row:
-                if not (isinstance(t, int) and 0 <= t < n):
+                if not (_is_int(t) and 0 <= t < n):
                     raise ValueError(f"transition target {t!r} out of range in state {s}")
         if len(self.output) != n:
             raise ValueError("output map must cover every state")
         for s, sym in enumerate(self.output):
             if sym not in self.output_alphabet:
                 raise AlphabetError(f"output {sym!r} of state {s} not in output alphabet")
-        if not (isinstance(self.initial, int) and 0 <= self.initial < n):
+        if not (_is_int(self.initial) and 0 <= self.initial < n):
             raise ValueError(f"initial state {self.initial!r} out of range")
 
     @cached_property
@@ -275,28 +279,19 @@ def canonical_encoding(machine: Machine) -> tuple[int, ...]:
 def minimize(machine: Machine) -> Machine:
     """Smallest machine equivalent to ``machine``, in canonical form.
 
-    Partition refinement: states start grouped by output symbol and are split
-    until one-step successors respect the grouping; the quotient is then
-    trimmed to reachable classes.  Idempotent.
+    Partition refinement (:func:`moorelimit.kernels.refine`) groups the
+    states no experiment distinguishes; the quotient is then trimmed to
+    reachable classes.  Idempotent.
     """
-    n = machine.state_count
-    block = [machine._output_index[machine.output[s]] for s in range(n)]
-    n_blocks = len(set(block))
-    while True:
-        sigs: dict[tuple[int, ...], int] = {}
-        new = []
-        for s in range(n):
-            sig = (block[s],) + tuple(block[t] for t in machine.transition[s])
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            new.append(sigs[sig])
-        block = new
-        if len(sigs) == n_blocks:
-            break
-        n_blocks = len(sigs)
+    block = kernels.refine(
+        len(machine.input_alphabet),
+        [t for row in machine.transition for t in row],
+        [machine._output_index[sym] for sym in machine.output],
+    )
+    n_blocks = max(block) + 1
     rep = {}
-    for s in range(n):
-        rep.setdefault(block[s], s)
+    for s, b in enumerate(block):
+        rep.setdefault(b, s)
     transition = tuple(
         tuple(block[machine.transition[rep[b]][i]] for i in range(len(machine.input_alphabet)))
         for b in range(n_blocks)
@@ -417,10 +412,11 @@ def enumerate_consistent(
     """Every behaviorally-distinct machine with at most ``max_states`` states
     that reproduces the trace.
 
-    Machines are reported as minimized canonical forms, deduplicated by
-    behavioral equivalence and sorted lexicographically on their canonical
-    encoding.  The candidate filter runs in the compiled kernel when available
-    (see :mod:`moorelimit.kernels`); the result is backend-independent.
+    Machines are reported as minimized canonical forms, one per behavior,
+    sorted lexicographically on their canonical encoding.  The search
+    (:mod:`moorelimit.kernels`) generates only transition tables already in
+    breadth-first canonical order and keeps those that reproduce the trace and
+    have no two equivalent states, so every minimal machine appears once.
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
@@ -433,7 +429,7 @@ def enumerate_consistent(
         max_states, len(inputs), len(outputs), trace_in, trace_out
     )
     machines = []
-    for enc in sorted(encodings):
+    for enc in encodings:
         m = enc[0]
         flat = enc[1 : 1 + m * len(inputs)]
         lam = enc[1 + m * len(inputs) :]

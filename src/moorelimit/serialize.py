@@ -34,6 +34,21 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _symbols(values, where: str) -> list:
+    """An array of alphabet symbols, each a string or an integer (not a bool)."""
+    if not isinstance(values, list):
+        raise ParseError(f"{where}: expected an array of symbols, got {type(values).__name__}")
+    for j, sym in enumerate(values):
+        _symbol(sym, f"{where}[{j}]")
+    return values
+
+
+def _symbol(sym, where: str):
+    if isinstance(sym, bool) or not isinstance(sym, (str, int)):
+        raise ParseError(f"{where}: a symbol must be a string or an integer, got {sym!r}")
+    return sym
+
+
 def machine_to_dict(machine: Machine) -> dict:
     return {
         "states": machine.state_count,
@@ -47,11 +62,11 @@ def machine_to_dict(machine: Machine) -> dict:
 
 def machine_from_dict(doc: dict, where: str = "machine") -> Machine:
     states = _require(doc, "states", where)
-    inputs = _require(doc, "inputs", where)
-    outputs = _require(doc, "outputs", where)
+    inputs = _symbols(_require(doc, "inputs", where), f"{where}.inputs")
+    outputs = _symbols(_require(doc, "outputs", where), f"{where}.outputs")
     initial = _require(doc, "initial", where)
     delta = _require(doc, "delta", where)
-    lam = _require(doc, "lambda", where)
+    lam = _symbols(_require(doc, "lambda", where), f"{where}.lambda")
     try:
         return Machine(
             state_count=states,
@@ -85,12 +100,13 @@ def trace_from_dict(doc: dict, where: str = "trace") -> tuple[Trace, list | None
     outputs = []
     inputs = []
     for i, step in enumerate(steps):
-        outputs.append(_require(step, "output", f"{where}.steps[{i}]"))
+        at = f"{where}.steps[{i}]"
+        outputs.append(_symbol(_require(step, "output", at), f"{at}.output"))
         if i == 0:
             if isinstance(step, dict) and "input" in step:
                 raise ParseError(f"{where}.steps[0]: the first record carries no input")
         elif "input" in step:
-            inputs.append(step["input"])
+            inputs.append(_symbol(step["input"], f"{at}.input"))
     if inputs and len(inputs) != len(outputs) - 1:
         raise ParseError(
             f"{where}: inputs must appear on every step after the first or on none"
@@ -99,7 +115,11 @@ def trace_from_dict(doc: dict, where: str = "trace") -> tuple[Trace, list | None
         trace = Trace(tuple(outputs), tuple(inputs) if inputs else None)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    return trace, doc.get("output_alphabet"), doc.get("input_alphabet")
+    alphabets = [
+        None if doc.get(key) is None else _symbols(doc[key], f"{where}.{key}")
+        for key in ("output_alphabet", "input_alphabet")
+    ]
+    return trace, *alphabets
 
 
 def matrix_to_dict(matrix: np.ndarray) -> dict:
@@ -246,10 +266,17 @@ def dumps_report(doc: Any) -> str:
 
 
 def write_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+    """Write via a sibling temp file and rename, so readers never see partial output.
+
+    The file gets the mode a plain ``open`` would give it (0666 less the
+    umask), not the 0600 of the temp file.
+    """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, target)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -134,6 +136,36 @@ def test_invalid_json_exits_2(capsys, tmp_path):
     path.write_text("{nope")
     assert cli.main(["witness", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("witness", {"steps": [{"output": 0}, {"output": [0]}]}),
+        ("enumerate", {"steps": [{"output": {"x": 0}}]}),
+        (
+            "minimize",
+            {"states": 2, "inputs": ["a"], "outputs": [0, 1], "initial": 0,
+             "delta": [[True], [0]], "lambda": [0, 1]},
+        ),
+    ],
+    ids=["list-symbol", "object-symbol", "bool-state"],
+)
+def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, command, doc):
+    argv = [command, write_json(tmp_path / "doc.json", doc)]
+    if command == "enumerate":
+        argv += ["--max-states", "2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["chsh", "noclone", "geiger"])
+def test_negative_samples_rejected_at_parsing(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--samples", "-1"])
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +521,16 @@ def test_out_file_matches_stdout_bytes(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     assert target.read_text() == stdout_text
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_out_file_honours_umask(tmp_path):
+    target = tmp_path / "report.json"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["ks", "--out", str(target)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o644
 
 
 def test_repeated_invocations_byte_identical():

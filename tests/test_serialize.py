@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,10 +59,17 @@ def test_machine_missing_field():
 
 
 def test_machine_invalid_table_becomes_parse_error():
-    doc = machine_to_dict(toggle())
-    doc["delta"] = [[5, 0], [0, 1]]
-    with pytest.raises(ParseError):
-        machine_from_dict(doc)
+    # JSON true/false is not a state index, although bool is an int subclass
+    for field, value, message in [
+        ("delta", [[5, 0], [0, 1]], "transition target 5"),
+        ("delta", [[True, 0], [0, 1]], "transition target True"),
+        ("initial", True, "initial state True"),
+        ("states", True, "state_count"),
+    ]:
+        doc = machine_to_dict(toggle())
+        doc[field] = value
+        with pytest.raises(ParseError, match=message):
+            machine_from_dict(doc)
 
 
 def test_trace_round_trip_without_inputs():
@@ -99,6 +107,21 @@ def test_trace_inputs_all_or_none():
 def test_trace_empty_steps():
     with pytest.raises(ParseError):
         trace_from_dict({"steps": []})
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"steps": [{"output": 0}, {"output": [0]}]}, "trace.steps[1].output"),
+        ({"steps": [{"output": 0}, {"output": 1, "input": {"a": 1}}]}, "trace.steps[1].input"),
+        ({"steps": [{"output": True}]}, "trace.steps[0].output"),
+        ({"steps": [{"output": 0}], "input_alphabet": "ab"}, "trace.input_alphabet"),
+    ],
+    ids=["list-output", "object-input", "bool-output", "string-alphabet"],
+)
+def test_trace_symbols_are_strings_or_integers(doc, where):
+    with pytest.raises(ParseError, match=re.escape(where)):
+        trace_from_dict(doc)
 
 
 def test_matrix_round_trip_complex():
