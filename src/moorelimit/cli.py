@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
+import operator
 import re as _re
 import sys
 from pathlib import Path
@@ -24,8 +26,6 @@ import numpy as np
 
 from . import __version__
 from .machines import (
-    AlphabetError,
-    DegenerateAlphabetError,
     Trace,
     consistent,
     distinguishing_experiment,
@@ -47,7 +47,6 @@ from .nogo import (
     singlet,
 )
 from .observer import (
-    StructureError,
     exchange_witness,
     expected_count_rate,
     geiger_outcome,
@@ -57,7 +56,6 @@ from .observer import (
 )
 from .quantum import (
     DensityOperator,
-    DimensionError,
     Effect,
     Povm,
     StateVector,
@@ -77,7 +75,6 @@ from .serialize import (
     machine_to_dict,
     observer_from_dict,
     source_from_dict,
-    source_to_dict,
     state_from_dict,
     trace_from_dict,
     write_atomic,
@@ -95,6 +92,18 @@ _CANONICAL_ANGLES = {
     "b_prime": 3.0 * math.pi / 4.0,
 }
 
+#: The four CHSH settings: correlator name, Alice's angle, Bob's angle, and
+#: the sign of that correlator in S = E_ab - E_ab' + E_a'b + E_a'b'.  Signed
+#: terms are added with ``reduce(add, ...)``, left to right as S is written:
+#: ``sum`` would turn a leading -0.0 into 0.0 and, on Python 3.12+, round
+#: differently.
+_CHSH_SETTINGS = (
+    ("E_ab", "a", "b", 1),
+    ("E_ab_prime", "a", "b_prime", -1),
+    ("E_a_prime_b", "a_prime", "b", 1),
+    ("E_a_prime_b_prime", "a_prime", "b_prime", 1),
+)
+
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -105,12 +114,23 @@ def _parse_symbol(text: str):
     return int(text) if _re.fullmatch(r"[+-]?\d+", text) else text
 
 
-def _sample_count(text: str) -> int:
-    """``--samples`` values: a count, so never negative."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _count_at_least(minimum: int):
+    """An argparse type for ``--samples``: an integer count of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
+def _config_object(doc, where: str) -> dict:
+    """A ``--config`` document or block that must be a JSON object."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: expected an object, got {type(doc).__name__}")
+    return doc
 
 
 def _parse_alphabet(text: str | None):
@@ -178,16 +198,27 @@ def _finish(args, command: str, inputs: dict, results: dict, checks: dict, table
     return 0 if all(checks.values()) else 1
 
 
-def _experiment_rows(experiment, machine_a, machine_b):
-    rows = []
-    if experiment is None:
-        return rows
-    outs_a = run_experiment(machine_a, experiment)
-    outs_b = run_experiment(machine_b, experiment)
-    for word, oa, ob in zip(experiment.words, outs_a, outs_b):
-        for pos, (x, y) in enumerate(zip(oa, ob)):
-            rows.append([_word_text(word), pos, x, y])
-    return rows
+_EXPERIMENT_HEADER = ["word", "position", "output_a", "output_b"]
+
+
+def _experiment_rows(experiment, outputs_a, outputs_b):
+    """One table row per output position of each word, from outputs already run."""
+    return [
+        [_word_text(word), pos, x, y]
+        for word, oa, ob in zip(experiment.words, outputs_a, outputs_b)
+        for pos, (x, y) in enumerate(zip(oa, ob))
+    ]
+
+
+def _witness_block(pair, outputs_a, outputs_b) -> dict:
+    """``pair``'s two machines, the experiment separating them and their outputs."""
+    return {
+        "machine_a": machine_to_dict(pair.machine_a),
+        "machine_b": machine_to_dict(pair.machine_b),
+        "separating_experiment": [list(w) for w in pair.separating.words],
+        "outputs_a": [list(o) for o in outputs_a],
+        "outputs_b": [list(o) for o in outputs_b],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +230,14 @@ def cmd_witness(args) -> int:
     pair = witness_moore(trace, out_alpha, in_alpha)
     outputs_a = run_experiment(pair.machine_a, pair.separating)
     outputs_b = run_experiment(pair.machine_b, pair.separating)
-    results = {
-        "machine_a": machine_to_dict(pair.machine_a),
-        "machine_b": machine_to_dict(pair.machine_b),
-        "separating_experiment": [list(w) for w in pair.separating.words],
-        "outputs_a": [list(o) for o in outputs_a],
-        "outputs_b": [list(o) for o in outputs_b],
-    }
+    results = _witness_block(pair, outputs_a, outputs_b)
     checks = {
         "machine_a_consistent": consistent(pair.machine_a, trace),
         "machine_b_consistent": consistent(pair.machine_b, trace),
         "machines_inequivalent": not equivalent(pair.machine_a, pair.machine_b),
         "experiment_separates": outputs_a != outputs_b,
     }
-    table = (
-        ["word", "position", "output_a", "output_b"],
-        _experiment_rows(pair.separating, pair.machine_a, pair.machine_b),
-    )
+    table = (_EXPERIMENT_HEADER, _experiment_rows(pair.separating, outputs_a, outputs_b))
     return _finish(args, "witness", echo, results, checks, table)
 
 
@@ -248,26 +270,21 @@ def cmd_distinguish(args) -> int:
     machine_a = _load_machine(args.machine_a)
     machine_b = _load_machine(args.machine_b)
     experiment = distinguishing_experiment(machine_a, machine_b)
-    same = equivalent(machine_a, machine_b)
-    results = {
-        "equivalent": same,
-        "separating_experiment": (
-            None if experiment is None else [list(w) for w in experiment.words]
-        ),
-    }
+    same = experiment is None
+    results = {"equivalent": same, "separating_experiment": None}
     separated = False
-    if experiment is not None:
+    rows = []
+    if not same:
         outputs_a = run_experiment(machine_a, experiment)
         outputs_b = run_experiment(machine_b, experiment)
+        results["separating_experiment"] = [list(w) for w in experiment.words]
         results["outputs_a"] = [list(o) for o in outputs_a]
         results["outputs_b"] = [list(o) for o in outputs_b]
         separated = outputs_a != outputs_b
+        rows = _experiment_rows(experiment, outputs_a, outputs_b)
     echo = {"machine_a": str(args.machine_a), "machine_b": str(args.machine_b)}
-    checks = {"experiment_iff_inequivalent": (experiment is None) == same and (same or separated)}
-    table = (
-        ["word", "position", "output_a", "output_b"],
-        _experiment_rows(experiment, machine_a, machine_b),
-    )
+    checks = {"experiment_iff_inequivalent": same or separated}
+    table = (_EXPERIMENT_HEADER, rows)
     return _finish(args, "distinguish", echo, results, checks, table)
 
 
@@ -319,26 +336,27 @@ def cmd_chsh(args) -> int:
     state = singlet()
     state_echo = "singlet"
     if args.config:
-        doc = load_json(args.config)
+        doc = _config_object(load_json(args.config), str(args.config))
         if "angles" in doc:
-            block = doc["angles"]
+            block = _config_object(doc["angles"], f"{args.config}: angles")
             for key in angles:
                 if key not in block:
                     raise ParseError(f"{args.config}: angles block missing {key!r}")
-                angles[key] = float(block[key])
+                try:
+                    angles[key] = float(block[key])
+                except (TypeError, ValueError):
+                    raise ParseError(
+                        f"{args.config}: angles.{key}: expected a number, got {block[key]!r}"
+                    ) from None
         if "state" in doc:
             state = _state_or_density(doc["state"], f"{args.config}: state")
             state_echo = "custom"
     setting = ChshSetting(state=state, **angles)
     s_value = chsh_value(setting)
     lhv = lhv_chsh_bound()
-    tol = args.tol if args.tol is not None else 1e-9
 
     correlators = {
-        "E_ab": correlator(state, angles["a"], angles["b"]),
-        "E_ab_prime": correlator(state, angles["a"], angles["b_prime"]),
-        "E_a_prime_b": correlator(state, angles["a_prime"], angles["b"]),
-        "E_a_prime_b_prime": correlator(state, angles["a_prime"], angles["b_prime"]),
+        name: correlator(state, angles[x], angles[y]) for name, x, y, _ in _CHSH_SETTINGS
     }
     results = {
         "angles": angles,
@@ -348,40 +366,30 @@ def cmd_chsh(args) -> int:
         "lhv_max": lhv.max_abs,
         "tsirelson": TSIRELSON,
         "verdict": (
-            "quantum exceeds LHV" if abs(s_value) > lhv.max_abs + tol else "within LHV bound"
+            "quantum exceeds LHV" if abs(s_value) > lhv.max_abs + args.tol else "within LHV bound"
         ),
     }
     checks = {
-        "within_tsirelson": abs(s_value) <= TSIRELSON + tol,
+        "within_tsirelson": abs(s_value) <= TSIRELSON + args.tol,
         "lhv_max_is_two": lhv.max_abs == 2,
     }
     is_singlet = bool(np.max(np.abs(state.matrix - singlet().matrix)) <= 1e-12)
     if is_singlet:
-        closed = (
-            -math.cos(angles["a"] - angles["b"])
-            + math.cos(angles["a"] - angles["b_prime"])
-            - math.cos(angles["a_prime"] - angles["b"])
-            - math.cos(angles["a_prime"] - angles["b_prime"])
+        closed = functools.reduce(
+            operator.add,
+            (sign * -math.cos(angles[x] - angles[y]) for _, x, y, sign in _CHSH_SETTINGS),
         )
         results["closed_form_S"] = closed
         results["closed_form_deviation"] = abs(closed - s_value)
-        checks["closed_form_agrees"] = abs(closed - s_value) <= tol
+        checks["closed_form_agrees"] = abs(closed - s_value) <= args.tol
     if args.samples:
         rng = np.random.default_rng(args.seed)
         estimates = {
-            name: _sample_correlator(state, x, y, args.samples, rng)
-            for name, (x, y) in (
-                ("E_ab", (angles["a"], angles["b"])),
-                ("E_ab_prime", (angles["a"], angles["b_prime"])),
-                ("E_a_prime_b", (angles["a_prime"], angles["b"])),
-                ("E_a_prime_b_prime", (angles["a_prime"], angles["b_prime"])),
-            )
+            name: _sample_correlator(state, angles[x], angles[y], args.samples, rng)
+            for name, x, y, _ in _CHSH_SETTINGS
         }
-        s_estimate = (
-            estimates["E_ab"]
-            - estimates["E_ab_prime"]
-            + estimates["E_a_prime_b"]
-            + estimates["E_a_prime_b_prime"]
+        s_estimate = functools.reduce(
+            operator.add, (sign * estimates[name] for name, _, _, sign in _CHSH_SETTINGS)
         )
         results["sampled"] = {
             "samples_per_setting": args.samples,
@@ -390,21 +398,22 @@ def cmd_chsh(args) -> int:
             "S_error": abs(s_estimate - s_value),
         }
 
-    sweep_rows = []
-    for k in range(100):
-        theta = 2.0 * math.pi * k / 100.0
-        sweep = ChshSetting(
-            a=0.0, a_prime=math.pi / 2.0, b=theta, b_prime=theta + math.pi / 2.0, state=state
-        )
-        sweep_rows.append([0.0, math.pi / 2.0, theta, theta + math.pi / 2.0, chsh_value(sweep)])
-    table = (["a", "a_prime", "b", "b_prime", "S"], sweep_rows)
+    table = None
+    if args.format == "table":
+        sweep_rows = []
+        for k in range(100):
+            theta = 2.0 * math.pi * k / 100.0
+            sweep = ChshSetting(
+                a=0.0, a_prime=math.pi / 2.0, b=theta, b_prime=theta + math.pi / 2.0, state=state
+            )
+            sweep_rows.append([0.0, math.pi / 2.0, theta, theta + math.pi / 2.0, chsh_value(sweep)])
+        table = (["a", "a_prime", "b", "b_prime", "S"], sweep_rows)
 
     echo = {"config": str(args.config) if args.config else "(default)", "state": state_echo}
     return _finish(args, "chsh", echo, results, checks, table)
 
 
 def cmd_ks(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-12
     report = kochen_specker_check()
     results = {
         "labels": [list(row) for row in report.labels],
@@ -417,8 +426,8 @@ def cmd_ks(args) -> int:
         "contextual": report.contextual,
     }
     checks = {
-        "lines_commute": report.max_commutator <= tol,
-        "products_are_signed_identities": report.max_product_deviation <= tol,
+        "lines_commute": report.max_commutator <= args.tol,
+        "products_are_signed_identities": report.max_product_deviation <= args.tol,
         "row_signs_all_plus": report.row_signs == (1, 1, 1),
         "col_signs_plus_plus_minus": report.col_signs == (1, 1, -1),
         "no_classical_assignment": report.satisfying_assignments == 0,
@@ -432,7 +441,6 @@ def cmd_ks(args) -> int:
 
 
 def cmd_noclone(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-12
     ket0 = basis_state(2, 0)
     ket1 = basis_state(2, 1)
     default_mode = args.config is None
@@ -443,15 +451,16 @@ def cmd_noclone(args) -> int:
             ("overlap_0.6", ket0, StateVector(np.array([0.6, 0.8], dtype=complex))),
         ]
     else:
-        doc = load_json(args.config)
+        doc = _config_object(load_json(args.config), str(args.config))
         entries = doc.get("pairs")
         if not isinstance(entries, list) or not entries:
             raise ParseError(f"{args.config}: expected a nonempty 'pairs' array")
         pairs = []
         for i, entry in enumerate(entries):
+            entry = _config_object(entry, f"{args.config}: pairs[{i}]")
             name = entry.get("name", f"pair_{i}")
-            psi = state_from_dict(entry.get("psi", {}), f"{args.config}.pairs[{i}].psi")
-            phi = state_from_dict(entry.get("phi", {}), f"{args.config}.pairs[{i}].phi")
+            psi = state_from_dict(entry.get("psi", {}), f"{args.config}: pairs[{i}].psi")
+            phi = state_from_dict(entry.get("phi", {}), f"{args.config}: pairs[{i}].phi")
             pairs.append((name, psi, phi))
 
     pair_rows = []
@@ -461,36 +470,31 @@ def cmd_noclone(args) -> int:
         gap_by_name[name] = gap
         pair_rows.append({"name": name, "overlap": abs(overlap(psi, phi)), "gap": gap})
 
-    n_random = args.samples if args.samples else 100
     rng = np.random.default_rng(args.seed)
     random_gaps = [
-        no_cloning_gap(random_state(2, rng), random_state(2, rng)) for _ in range(n_random)
+        no_cloning_gap(random_state(2, rng), random_state(2, rng)) for _ in range(args.samples)
     ]
     results = {
         "pairs": pair_rows,
         "random": {
-            "count": n_random,
+            "count": args.samples,
             "min_gap": min(random_gaps),
             "max_gap": max(random_gaps),
         },
     }
     checks = {
-        "gaps_nonnegative": all(row["gap"] >= -tol for row in pair_rows),
+        "gaps_nonnegative": all(row["gap"] >= -args.tol for row in pair_rows),
         "random_gaps_positive": all(g > 0 for g in random_gaps),
     }
     if default_mode:
-        checks["identical_gap_zero"] = abs(gap_by_name["identical"]) <= tol
-        checks["orthogonal_gap_zero"] = abs(gap_by_name["orthogonal"]) <= tol
-        checks["overlap_0.6_gap_0.24"] = abs(gap_by_name["overlap_0.6"] - 0.24) <= tol
+        checks["identical_gap_zero"] = abs(gap_by_name["identical"]) <= args.tol
+        checks["orthogonal_gap_zero"] = abs(gap_by_name["orthogonal"]) <= args.tol
+        checks["overlap_0.6_gap_0.24"] = abs(gap_by_name["overlap_0.6"] - 0.24) <= args.tol
 
         analogue = clone_inference_report(Trace((0, 1)))
         results["classical_analogue"] = {
             "trace": list(analogue.trace.outputs),
-            "machine_a": machine_to_dict(analogue.machine_a),
-            "machine_b": machine_to_dict(analogue.machine_b),
-            "separating_experiment": [list(w) for w in analogue.separating.words],
-            "outputs_a": [list(o) for o in analogue.outputs_a],
-            "outputs_b": [list(o) for o in analogue.outputs_b],
+            **_witness_block(analogue, analogue.outputs_a, analogue.outputs_b),
             "records_identical": analogue.records_identical,
             "machines_equivalent": analogue.machines_equivalent,
         }
@@ -538,7 +542,7 @@ def _default_exchange_quantum() -> dict:
 
 
 def _load_scenario(args, default: dict):
-    doc = load_json(args.config) if args.config else default
+    doc = _config_object(load_json(args.config), str(args.config)) if args.config else default
     src_block = doc.get("sources")
     if not isinstance(src_block, dict) or not src_block:
         raise ParseError("scenario: expected a nonempty 'sources' object")
@@ -550,6 +554,15 @@ def _load_scenario(args, default: dict):
         observer_from_dict(doc["observer"], base_dir=base) if "observer" in doc else None
     )
     return doc, names, sources, detector, observer
+
+
+def _source_table(rows):
+    """The per-source table ``exchange`` and ``geiger`` share."""
+    header = ["source", "activity", "distance", "yield", "expected_rate", "outcome"]
+    return header, [
+        [r["name"], r["activity"], r["distance"], r["yield"], r["expected_rate"], r["outcome"]]
+        for r in rows
+    ]
 
 
 def _source_rows(names, sources, detector):
@@ -574,7 +587,6 @@ def cmd_exchange(args) -> int:
     if len(sources) != 2:
         raise ParseError("exchange compares exactly two sources")
     report = exchange_witness(sources[0], sources[1], detector)
-    tol = args.tol if args.tol is not None else 1e-9
 
     results = {
         "sources": _source_rows(names, sources, detector),
@@ -596,7 +608,7 @@ def cmd_exchange(args) -> int:
         rho_b = density_from_dict(doc["density_b"], "density_b")
         stats_a = outcome_statistics(rho_a, observer)
         stats_b = outcome_statistics(rho_b, observer)
-        comparison = indistinguishable(stats_a, stats_b, tolerance=tol)
+        comparison = indistinguishable(stats_a, stats_b, tolerance=args.tol)
         results["statistics"] = {
             "povms": {
                 name: {
@@ -612,13 +624,7 @@ def cmd_exchange(args) -> int:
         }
         checks["statistics_indistinguishable"] = comparison.indistinguishable
 
-    table = (
-        ["source", "activity", "distance", "yield", "expected_rate", "outcome"],
-        [
-            [r["name"], r["activity"], r["distance"], r["yield"], r["expected_rate"], r["outcome"]]
-            for r in results["sources"]
-        ],
-    )
+    table = _source_table(results["sources"])
     echo = {"config": str(args.config) if args.config else "(default)"}
     return _finish(args, "exchange", echo, results, checks, table)
 
@@ -648,13 +654,7 @@ def cmd_geiger(args) -> int:
     checks = {"within_saturation": all(o <= detector.saturation for o in outcomes)}
     if len(rows) > 1:
         checks["outcomes_all_equal"] = results["outcomes_equal"]
-    table = (
-        ["source", "activity", "distance", "yield", "expected_rate", "outcome"],
-        [
-            [r["name"], r["activity"], r["distance"], r["yield"], r["expected_rate"], r["outcome"]]
-            for r in rows
-        ],
-    )
+    table = _source_table(rows)
     echo = {"config": str(args.config) if args.config else "(default)"}
     return _finish(args, "geiger", echo, results, checks, table)
 
@@ -663,7 +663,9 @@ def cmd_geiger(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, built afresh for each one: children share
+    a parent's actions, so a shared parent would share ``set_defaults(tol=...)``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for any sampling mode")
     common.add_argument("--tol", type=float, default=None, help="tolerance override for checks")
@@ -671,6 +673,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("report", "table"), default="report", help="output format"
     )
     common.add_argument("--out", default=None, help="write output to PATH (atomic)")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
 
     alphabets = argparse.ArgumentParser(add_help=False)
     alphabets.add_argument(
@@ -687,44 +693,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("witness", parents=[common, alphabets], help="two machines one trace cannot separate")
+    p = sub.add_parser("witness", parents=[_common_flags(), alphabets], help="two machines one trace cannot separate")
     p.add_argument("trace", help="trace JSON file")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("enumerate", parents=[common, alphabets], help="all consistent machines up to a state bound")
+    p = sub.add_parser("enumerate", parents=[_common_flags(), alphabets], help="all consistent machines up to a state bound")
     p.add_argument("trace", help="trace JSON file")
     p.add_argument("--max-states", type=int, required=True, help="state bound N >= 1")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("distinguish", parents=[common], help="find an experiment separating two machines")
+    p = sub.add_parser("distinguish", parents=[_common_flags()], help="find an experiment separating two machines")
     p.add_argument("machine_a", help="machine JSON file")
     p.add_argument("machine_b", help="machine JSON file")
     p.set_defaults(func=cmd_distinguish)
 
-    p = sub.add_parser("minimize", parents=[common], help="canonical minimal form of a machine")
+    p = sub.add_parser("minimize", parents=[_common_flags()], help="canonical minimal form of a machine")
     p.add_argument("machine", help="machine JSON file")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("chsh", parents=[common], help="CHSH value vs the LHV bound")
+    p = sub.add_parser("chsh", parents=[_common_flags()], help="CHSH value vs the LHV bound")
     p.add_argument("--config", default=None, help="JSON with optional 'state' and 'angles'")
-    p.add_argument("--samples", type=_sample_count, default=None, help="finite-sample estimates per setting")
-    p.set_defaults(func=cmd_chsh)
+    p.add_argument("--samples", type=_count_at_least(0), default=None, help="finite-sample estimates per setting")
+    p.set_defaults(func=cmd_chsh, tol=1e-9)
 
-    p = sub.add_parser("ks", parents=[common], help="Peres-Mermin square contextuality check")
-    p.set_defaults(func=cmd_ks)
+    p = sub.add_parser("ks", parents=[_common_flags()], help="Peres-Mermin square contextuality check")
+    p.set_defaults(func=cmd_ks, tol=1e-12)
 
-    p = sub.add_parser("noclone", parents=[common], help="no-cloning gaps and the record-level analogue")
+    p = sub.add_parser("noclone", parents=[_common_flags()], help="no-cloning gaps and the record-level analogue")
     p.add_argument("--config", default=None, help="JSON with a 'pairs' array of state pairs")
-    p.add_argument("--samples", type=_sample_count, default=None, help="number of random pairs")
-    p.set_defaults(func=cmd_noclone)
+    p.add_argument("--samples", type=_count_at_least(1), default=100, help="number of random pairs")
+    p.set_defaults(func=cmd_noclone, tol=1e-12)
 
-    p = sub.add_parser("exchange", parents=[common], help="records invariant under source exchange")
+    p = sub.add_parser("exchange", parents=[_common_flags()], help="records invariant under source exchange")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector, observer)")
-    p.set_defaults(func=cmd_exchange)
+    p.set_defaults(func=cmd_exchange, tol=1e-9)
 
-    p = sub.add_parser("geiger", parents=[common], help="deterministic counter outcomes per source")
+    p = sub.add_parser("geiger", parents=[_common_flags()], help="deterministic counter outcomes per source")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector)")
-    p.add_argument("--samples", type=_sample_count, default=None, help="Poisson-sampled counts per source")
+    p.add_argument("--samples", type=_count_at_least(0), default=None, help="Poisson-sampled counts per source")
     p.set_defaults(func=cmd_geiger)
 
     return parser
@@ -735,16 +741,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ParseError,
-        AlphabetError,
-        DegenerateAlphabetError,
-        DimensionError,
-        StructureError,
-        FileNotFoundError,
-        IsADirectoryError,
-        ValueError,
-    ) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

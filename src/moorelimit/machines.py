@@ -195,21 +195,7 @@ def equivalent(a: Machine, b: Machine) -> bool:
     Decided by breadth-first search over reachable state pairs of the product
     machine; terminates after at most |a| * |b| pair expansions.
     """
-    _require_shared_alphabets(a, b)
-    b_index = b._input_index
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s, t = queue.popleft()
-        if a.output[s] != b.output[t]:
-            return False
-        for i, sym in enumerate(a.input_alphabet):
-            pair = (a.transition[s][i], b.transition[t][b_index[sym]])
-            if pair not in seen:
-                seen.add(pair)
-                queue.append(pair)
-    return True
+    return distinguishing_experiment(a, b) is None
 
 
 def distinguishing_experiment(a: Machine, b: Machine) -> Experiment | None:

@@ -62,8 +62,13 @@ class SourceConfig:
     photon_yield: float = 1.0
 
     def __post_init__(self):
-        if self.activity <= 0 or self.distance <= 0 or self.photon_yield <= 0:
-            raise ValueError("source parameters must be strictly positive")
+        for name, value in (
+            ("activity", self.activity),
+            ("distance", self.distance),
+            ("yield", self.photon_yield),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,10 @@ class DetectorConfig:
     saturation: int = 100
 
     def __post_init__(self):
-        if self.aperture_diameter <= 0:
-            raise ValueError("aperture diameter must be positive")
+        if not (math.isfinite(self.aperture_diameter) and self.aperture_diameter > 0):
+            raise ValueError(
+                f"aperture diameter must be finite and positive, got {self.aperture_diameter!r}"
+            )
         if not 0 < self.efficiency <= 1:
             raise ValueError("efficiency must be in (0, 1]")
         if self.saturation < 1:
@@ -163,10 +170,21 @@ def expected_count_rate(source: SourceConfig, detector: DetectorConfig) -> float
 
     Point-source flux through a circular aperture; the expression order is
     fixed so that scaling (activity, distance) by (c^2, c) cancels exactly.
+    Raises ``ValueError`` when the geometry leaves the float range: a distance
+    whose square underflows to 0, or a square or rate that overflows.
     """
-    flux = source.activity * source.photon_yield / (4.0 * math.pi * source.distance**2)
-    area = math.pi * (detector.aperture_diameter / 2.0) ** 2
-    return flux * area * detector.efficiency
+    try:
+        square = source.distance**2
+        area = math.pi * (detector.aperture_diameter / 2.0) ** 2
+    except OverflowError:
+        raise ValueError(f"the square of a length overflows: {source}, {detector}") from None
+    if square == 0:
+        raise ValueError(f"distance {source.distance!r} is too small: its square underflows to 0")
+    flux = source.activity * source.photon_yield / (4.0 * math.pi * square)
+    rate = flux * area * detector.efficiency
+    if not math.isfinite(rate):
+        raise ValueError(f"expected count rate overflows for {source} and {detector}")
+    return rate
 
 
 def geiger_outcome(source: SourceConfig, detector: DetectorConfig) -> int:

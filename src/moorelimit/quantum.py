@@ -34,13 +34,15 @@ def _as_matrix(matrix) -> np.ndarray:
     return m
 
 
-def _hermiticity_deviation(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
-def _eigenvalue_range(m: np.ndarray) -> tuple[float, float]:
+def _hermitian_spectrum(matrix, what: str) -> tuple[np.ndarray, float, float]:
+    """The frozen square matrix of a Hermitian operator, with its least and
+    greatest eigenvalue; the one Hermiticity check of every operator type."""
+    m = _as_matrix(matrix)
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > TAU_NUM:
+        raise ValueError(f"{what} not Hermitian (deviation {dev})")
     vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    return float(vals[0]), float(vals[-1])
+    return m, float(vals[0]), float(vals[-1])
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        dev = _hermiticity_deviation(m)
-        if dev > TAU_NUM:
-            raise ValueError(f"density operator not Hermitian (deviation {dev})")
-        lo, _ = _eigenvalue_range(m)
+        m, lo, _ = _hermitian_spectrum(self.matrix, "density operator")
         if lo < -TAU_NUM:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
         tr = complex(np.trace(m))
@@ -99,11 +97,7 @@ class Effect:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix)
-        dev = _hermiticity_deviation(m)
-        if dev > TAU_NUM:
-            raise ValueError(f"effect not Hermitian (deviation {dev})")
-        lo, hi = _eigenvalue_range(m)
+        m, lo, hi = _hermitian_spectrum(self.matrix, "effect")
         if lo < -TAU_NUM or hi > 1.0 + TAU_NUM:
             raise ValueError(f"effect spectrum [{lo}, {hi}] outside [0, 1]")
         object.__setattr__(self, "matrix", m)
@@ -168,54 +162,6 @@ class OutcomeDistribution:
 
     def as_dict(self) -> dict:
         return dict(zip(self.labels, self.probabilities))
-
-
-@dataclass(frozen=True)
-class PovmValidation:
-    """Per-invariant outcome of a POVM check, with worst deviations."""
-
-    hermitian: bool
-    hermitian_deviation: float
-    positive: bool
-    positivity_deviation: float
-    complete: bool
-    completeness_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        return self.hermitian and self.positive and self.complete
-
-
-def validate_povm(effects: Sequence, tolerance: float = TAU_NUM) -> PovmValidation:
-    """Check Hermiticity, positivity and completeness of candidate effects.
-
-    Accepts raw matrices (the point is to diagnose invalid input); raises
-    ``DimensionError`` only for structural problems that make the checks
-    meaningless.
-    """
-    if len(effects) == 0:
-        raise DimensionError("a POVM has at least one effect")
-    mats = []
-    for e in effects:
-        m = e.matrix if isinstance(e, Effect) else np.array(e, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"effect has non-square shape {m.shape}")
-        mats.append(m)
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != dim:
-            raise DimensionError("effects have mismatched dimensions")
-    herm_dev = max(_hermiticity_deviation(m) for m in mats)
-    pos_dev = max(max(0.0, -_eigenvalue_range(m)[0]) for m in mats)
-    comp_dev = float(np.max(np.abs(sum(mats) - np.eye(dim))))
-    return PovmValidation(
-        hermitian=herm_dev <= tolerance,
-        hermitian_deviation=herm_dev,
-        positive=pos_dev <= tolerance,
-        positivity_deviation=pos_dev,
-        complete=comp_dev <= tolerance,
-        completeness_deviation=comp_dev,
-    )
 
 
 def born_distribution(rho: DensityOperator, povm: Povm) -> OutcomeDistribution:

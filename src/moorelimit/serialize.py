@@ -43,6 +43,13 @@ def _symbols(values, where: str) -> list:
     return values
 
 
+def _floats(values, where: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _symbol(sym, where: str):
     if isinstance(sym, bool) or not isinstance(sym, (str, int)):
         raise ParseError(f"{where}: a symbol must be a string or an integer, got {sym!r}")
@@ -133,8 +140,8 @@ def matrix_to_dict(matrix: np.ndarray) -> dict:
 
 def matrix_from_dict(doc: dict, where: str = "operator") -> np.ndarray:
     dim = _require(doc, "dim", where)
-    re = np.asarray(_require(doc, "re", where), dtype=float)
-    im = np.asarray(_require(doc, "im", where), dtype=float)
+    re = _floats(_require(doc, "re", where), f"{where}.re")
+    im = _floats(_require(doc, "im", where), f"{where}.im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParseError(f"{where}: re/im must be {dim}x{dim} row-major arrays")
     return re + 1j * im
@@ -150,8 +157,8 @@ def state_to_dict(psi: StateVector) -> dict:
 
 def state_from_dict(doc: dict, where: str = "state") -> StateVector:
     dim = _require(doc, "dim", where)
-    re = np.asarray(_require(doc, "re", where), dtype=float)
-    im = np.asarray(_require(doc, "im", where), dtype=float)
+    re = _floats(_require(doc, "re", where), f"{where}.re")
+    im = _floats(_require(doc, "im", where), f"{where}.im")
     if re.shape != (dim,) or im.shape != (dim,):
         raise ParseError(f"{where}: re/im must be flat arrays of length {dim}")
     try:
@@ -161,8 +168,9 @@ def state_from_dict(doc: dict, where: str = "state") -> StateVector:
 
 
 def density_from_dict(doc: dict, where: str = "density") -> DensityOperator:
+    matrix = matrix_from_dict(doc, where)
     try:
-        return DensityOperator(matrix_from_dict(doc, where))
+        return DensityOperator(matrix)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
@@ -180,45 +188,39 @@ def povm_from_dict(doc: dict, where: str = "povm") -> Povm:
     effects = _require(doc, "effects", where)
     if not isinstance(effects, list) or not effects:
         raise ParseError(f"{where}: 'effects' must be a nonempty array")
+    matrices = [matrix_from_dict(e, f"{where}.effects[{i}]") for i, e in enumerate(effects)]
     try:
-        return Povm(
-            effects=tuple(
-                Effect(matrix_from_dict(e, f"{where}.effects[{i}]"))
-                for i, e in enumerate(effects)
-            ),
-            labels=tuple(labels),
-        )
+        return Povm(effects=tuple(Effect(m) for m in matrices), labels=tuple(labels))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
 def source_from_dict(doc: dict, where: str = "source") -> SourceConfig:
+    activity = _require(doc, "activity", where)
+    distance = _require(doc, "distance", where)
     try:
         return SourceConfig(
-            activity=float(_require(doc, "activity", where)),
-            distance=float(_require(doc, "distance", where)),
+            activity=float(activity),
+            distance=float(distance),
             photon_yield=float(doc.get("yield", 1.0)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def source_to_dict(source: SourceConfig) -> dict:
-    return {
-        "activity": source.activity,
-        "distance": source.distance,
-        "yield": source.photon_yield,
-    }
-
-
 def detector_from_dict(doc: dict, where: str = "detector") -> DetectorConfig:
+    aperture = _require(doc, "aperture_diameter", where)
+    efficiency = _require(doc, "efficiency", where)
+    saturation = doc.get("saturation", 100)
+    if not (type(saturation) is int or type(saturation) is float and saturation.is_integer()):
+        raise ParseError(f"{where}.saturation: expected an integer, got {saturation!r}")
     try:
         return DetectorConfig(
-            aperture_diameter=float(_require(doc, "aperture_diameter", where)),
-            efficiency=float(_require(doc, "efficiency", where)),
-            saturation=int(doc.get("saturation", 100)),
+            aperture_diameter=float(aperture),
+            efficiency=float(efficiency),
+            saturation=int(saturation),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 

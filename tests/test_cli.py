@@ -160,12 +160,73 @@ def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, comman
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["chsh", "noclone", "geiger"])
-def test_negative_samples_rejected_at_parsing(capsys, command):
+@pytest.mark.parametrize(
+    "command, value, message",
+    [
+        ("chsh", "-1", "must be >= 0"),
+        ("noclone", "-1", "must be >= 1"),
+        ("geiger", "-1", "must be >= 0"),
+        ("noclone", "0", "must be >= 1"),
+    ],
+    ids=["chsh", "noclone", "geiger", "noclone-zero"],
+)
+def test_negative_samples_rejected_at_parsing(capsys, command, value, message):
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--samples", "-1"])
+        cli.main([command, "--samples", value])
     assert exc.value.code == 2
-    assert "must be >= 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+ANGLES = {"a": 0.0, "a_prime": 1.0, "b": 0.5, "b_prime": 2.0}
+SOURCE = {"activity": 1.0, "distance": 1.0}
+DETECTOR = {"aperture_diameter": 2.0, "efficiency": 0.5}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("chsh", [1, 2], "c.json: expected an object"),
+        ("chsh", {"angles": 5}, "c.json: angles: expected an object"),
+        ("chsh", {"angles": {**ANGLES, "a": [1]}}, "c.json: angles.a: "),
+        ("chsh", {"angles": {**ANGLES, "b": "x"}}, "c.json: angles.b: "),
+        ("noclone", [1], "c.json: expected an object"),
+        ("noclone", {"pairs": [5]}, "c.json: pairs[0]: expected an object"),
+        ("geiger", [1], "c.json: expected an object"),
+        ("exchange", [1], "c.json: expected an object"),
+        ("geiger", {"sources": {"s": {**SOURCE, "distance": 1e-300}}, "detector": DETECTOR}, "distance"),
+        ("geiger", {"sources": {"s": {**SOURCE, "distance": 1e200}}, "detector": DETECTOR}, "distance"),
+        ("geiger", {"sources": {"s": {**SOURCE, "activity": "inf"}}, "detector": DETECTOR}, "sources.s: activity"),
+        ("geiger", {"sources": {"s": {**SOURCE, "activity": float("nan")}}, "detector": DETECTOR}, "sources.s: activity"),
+        ("geiger", {"sources": {"s": {**SOURCE, "activity": 10**400}}, "detector": DETECTOR}, "sources.s: "),
+        ("geiger", {"sources": {"s": {**SOURCE, "activity": 1e308, "yield": 10.0}}, "detector": DETECTOR}, "count rate"),
+        ("geiger", {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "saturation": 2.7}}, "detector.saturation"),
+        ("geiger", {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "aperture_diameter": "inf"}}, "detector: aperture"),
+        ("geiger", {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "aperture_diameter": 1e200}}, "aperture"),
+        ("geiger", {"sources": {"s": {"distance": 1.0}}, "detector": DETECTOR}, "error: sources.s: missing field 'activity'"),
+    ],
+    ids=[
+        "chsh-array", "chsh-angles-number", "chsh-angle-array", "chsh-angle-string",
+        "noclone-array", "noclone-pair-number", "geiger-array", "exchange-array",
+        "distance-underflow", "distance-overflow", "activity-inf", "activity-nan", "activity-huge-int",
+        "rate-overflow", "saturation-fraction", "aperture-inf", "aperture-overflow",
+        "missing-activity",
+    ],
+)
+def test_malformed_config_exits_2_naming_the_field(capsys, tmp_path, command, doc, field):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_tolerance_defaults_per_command():
+    parser = cli.build_parser()
+    defaults = {"chsh": 1e-9, "ks": 1e-12, "noclone": 1e-12, "exchange": 1e-9}
+    for command, tol in defaults.items():
+        assert parser.parse_args([command]).tol == tol
+        assert parser.parse_args([command, "--tol", "0.5"]).tol == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,10 @@ def test_exchange_witness_detects_unequal_records():
         {"activity": -1.0, "distance": 1.0},
         {"activity": 1.0, "distance": 0.0},
         {"activity": 1.0, "distance": 1.0, "photon_yield": 0.0},
+        {"activity": float("nan"), "distance": 1.0},
+        {"activity": float("inf"), "distance": 1.0},
+        {"activity": 1.0, "distance": float("inf")},
+        {"activity": 1.0, "distance": 1.0, "photon_yield": float("nan")},
     ],
 )
 def test_source_config_rejects_nonpositive(kwargs):
@@ -210,8 +214,26 @@ def test_source_config_rejects_nonpositive(kwargs):
         {"aperture_diameter": 1.0, "efficiency": 0.0},
         {"aperture_diameter": 1.0, "efficiency": 1.5},
         {"aperture_diameter": 1.0, "efficiency": 0.5, "saturation": 0},
+        {"aperture_diameter": float("inf"), "efficiency": 0.5},
+        {"aperture_diameter": float("nan"), "efficiency": 0.5},
+        {"aperture_diameter": 1.0, "efficiency": float("nan")},
     ],
 )
 def test_detector_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         DetectorConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "source, detector, message",
+    [
+        (SourceConfig(activity=1.0, distance=1e-300), DetectorConfig(2.0, 0.5), "underflows"),
+        (SourceConfig(activity=1.0, distance=1e200), DetectorConfig(2.0, 0.5), "overflows"),
+        (SourceConfig(activity=1.0, distance=1.0), DetectorConfig(1e200, 0.5), "overflows"),
+        (SourceConfig(activity=1e308, distance=1e-3), DetectorConfig(2.0, 0.5), "overflows"),
+    ],
+    ids=["distance-underflow", "distance-overflow", "aperture-overflow", "rate-overflow"],
+)
+def test_rate_outside_float_range_is_rejected(source, detector, message):
+    with pytest.raises(ValueError, match=message):
+        expected_count_rate(source, detector)

@@ -19,7 +19,6 @@ from moorelimit.quantum import (
     random_density,
     random_state,
     tensor,
-    validate_povm,
 )
 
 
@@ -73,6 +72,19 @@ def test_effect_rejects_spectrum_above_one():
         Effect(2.0 * np.eye(2))
 
 
+def test_effect_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        Effect(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+
+def test_effect_rejects_negative_eigenvalue():
+    with pytest.raises(ValueError, match="outside"):
+        Effect(np.diag([-0.5, 0.5]))
+    # the pair sums to the identity, so completeness does not hide it
+    with pytest.raises(ValueError, match="outside"):
+        Povm(effects=(np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])), labels=(0, 1))
+
+
 def test_povm_requires_completeness():
     half = Effect(0.5 * np.eye(2))
     with pytest.raises(ValueError):
@@ -88,27 +100,8 @@ def test_povm_requires_distinct_labels():
 def test_povm_rejects_mixed_dimensions():
     with pytest.raises(DimensionError):
         Povm(effects=(Effect(np.eye(2)), Effect(np.zeros((3, 3)))), labels=(0, 1))
-
-
-def test_validate_povm_flags_each_failure():
-    ok = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    assert ok.passed and ok.completeness_deviation == 0.0
-
-    not_herm = validate_povm([np.array([[0.5, 0.3], [0.0, 0.5]]), np.array([[0.5, 0.0], [0.3, 0.5]])])
-    assert not not_herm.hermitian
-
-    not_pos = validate_povm([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
-    assert not not_pos.positive
-    assert not_pos.positivity_deviation == pytest.approx(0.5)
-
-    not_complete = validate_povm([np.diag([0.5, 0.5])])
-    assert not not_complete.complete
-    assert not_complete.completeness_deviation == pytest.approx(0.5)
-
-
-def test_validate_povm_rejects_non_square():
-    with pytest.raises(DimensionError):
-        validate_povm([np.zeros((2, 3))])
+    with pytest.raises(DimensionError, match="square"):
+        Povm(effects=(np.zeros((2, 3)),), labels=(0,))
 
 
 # ---------------------------------------------------------------------------

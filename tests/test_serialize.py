@@ -173,19 +173,33 @@ def test_povm_incomplete_rejected():
     }
     with pytest.raises(ParseError):
         povm_from_dict(doc)
+    del doc["effects"][0]["re"]
+    with pytest.raises(ParseError) as exc:
+        povm_from_dict(doc, "observer.povms[0]")
+    assert str(exc.value) == "observer.povms[0].effects[0]: missing field 're'"
+    with pytest.raises(ParseError) as exc:
+        density_from_dict(doc["effects"][0], "density_a")
+    assert str(exc.value) == "density_a: missing field 're'"
 
 
 def test_source_and_detector_parsing():
     src = source_from_dict({"activity": 100.0, "distance": 5.0, "yield": 0.9})
     assert src.photon_yield == 0.9
-    with pytest.raises(ParseError, match="activity"):
-        source_from_dict({"distance": 5.0})
+    with pytest.raises(ParseError, match="activity") as exc:
+        source_from_dict({"distance": 5.0}, "sources.s")
+    assert str(exc.value) == "sources.s: missing field 'activity'"
     with pytest.raises(ParseError):
         source_from_dict({"activity": -1.0, "distance": 5.0})
     det = detector_from_dict({"aperture_diameter": 2.0, "efficiency": 0.008})
     assert det.saturation == 100
     with pytest.raises(ParseError):
         detector_from_dict({"aperture_diameter": 2.0, "efficiency": 7.0})
+    with pytest.raises(ParseError) as exc:
+        detector_from_dict({"efficiency": 0.5})
+    assert str(exc.value) == "detector: missing field 'aperture_diameter'"
+    assert detector_from_dict({"aperture_diameter": 2.0, "efficiency": 0.5, "saturation": 50.0}).saturation == 50
+    with pytest.raises(ParseError, match=r"^detector\.saturation: "):
+        detector_from_dict({"aperture_diameter": 2.0, "efficiency": 0.5, "saturation": 2.7})
 
 
 def test_observer_inline_and_file_povms(tmp_path):
