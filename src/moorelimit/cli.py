@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import math
-import operator
 import re as _re
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +33,9 @@ from .machines import (
     witness_moore,
 )
 from .nogo import (
+    CHSH_TERMS,
     ChshSetting,
+    chsh_sum,
     chsh_value,
     clone_inference_report,
     correlator,
@@ -66,16 +65,14 @@ from .quantum import (
 )
 from .serialize import (
     ParseError,
-    density_from_dict,
-    detector_from_dict,
+    chsh_config_from_dict,
     detector_to_dict,
     dumps_report,
     load_json,
     machine_from_dict,
     machine_to_dict,
-    observer_from_dict,
-    source_from_dict,
-    state_from_dict,
+    scenario_from_dict,
+    state_pairs_from_dict,
     trace_from_dict,
     write_atomic,
 )
@@ -91,18 +88,6 @@ _CANONICAL_ANGLES = {
     "b": math.pi / 4.0,
     "b_prime": 3.0 * math.pi / 4.0,
 }
-
-#: The four CHSH settings: correlator name, Alice's angle, Bob's angle, and
-#: the sign of that correlator in S = E_ab - E_ab' + E_a'b + E_a'b'.  Signed
-#: terms are added with ``reduce(add, ...)``, left to right as S is written:
-#: ``sum`` would turn a leading -0.0 into 0.0 and, on Python 3.12+, round
-#: differently.
-_CHSH_SETTINGS = (
-    ("E_ab", "a", "b", 1),
-    ("E_ab_prime", "a", "b_prime", -1),
-    ("E_a_prime_b", "a_prime", "b", 1),
-    ("E_a_prime_b_prime", "a_prime", "b_prime", 1),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +109,6 @@ def _count_at_least(minimum: int):
         return value
 
     return count
-
-
-def _config_object(doc, where: str) -> dict:
-    """A ``--config`` document or block that must be a JSON object."""
-    if not isinstance(doc, dict):
-        raise ParseError(f"{where}: expected an object, got {type(doc).__name__}")
-    return doc
 
 
 def _parse_alphabet(text: str | None):
@@ -310,13 +288,6 @@ def cmd_minimize(args) -> int:
 # physics commands
 
 
-def _state_or_density(doc, where) -> DensityOperator:
-    re_block = doc.get("re") if isinstance(doc, dict) else None
-    if re_block and isinstance(re_block[0], list):
-        return density_from_dict(doc, where)
-    return DensityOperator.from_state(state_from_dict(doc, where))
-
-
 def _sample_correlator(state: DensityOperator, x: float, y: float, n: int, rng) -> float:
     eye = np.eye(2)
     proj_a = [(eye + s * measurement_axis(x)) / 2.0 for s in (1, -1)]
@@ -333,30 +304,18 @@ def _sample_correlator(state: DensityOperator, x: float, y: float, n: int, rng) 
 
 def cmd_chsh(args) -> int:
     angles = dict(_CANONICAL_ANGLES)
-    state = singlet()
-    state_echo = "singlet"
+    state, state_echo = singlet(), "singlet"
     if args.config:
-        doc = _config_object(load_json(args.config), str(args.config))
-        if "angles" in doc:
-            block = _config_object(doc["angles"], f"{args.config}: angles")
-            for key in angles:
-                if key not in block:
-                    raise ParseError(f"{args.config}: angles block missing {key!r}")
-                try:
-                    angles[key] = float(block[key])
-                except (TypeError, ValueError):
-                    raise ParseError(
-                        f"{args.config}: angles.{key}: expected a number, got {block[key]!r}"
-                    ) from None
-        if "state" in doc:
-            state = _state_or_density(doc["state"], f"{args.config}: state")
-            state_echo = "custom"
+        custom_angles, custom_state = chsh_config_from_dict(load_json(args.config), str(args.config))
+        angles.update(custom_angles)
+        if custom_state is not None:
+            state, state_echo = custom_state, "custom"
     setting = ChshSetting(state=state, **angles)
     s_value = chsh_value(setting)
     lhv = lhv_chsh_bound()
 
     correlators = {
-        name: correlator(state, angles[x], angles[y]) for name, x, y, _ in _CHSH_SETTINGS
+        name: correlator(state, angles[x], angles[y]) for name, x, y, _ in CHSH_TERMS
     }
     results = {
         "angles": angles,
@@ -375,10 +334,7 @@ def cmd_chsh(args) -> int:
     }
     is_singlet = bool(np.max(np.abs(state.matrix - singlet().matrix)) <= 1e-12)
     if is_singlet:
-        closed = functools.reduce(
-            operator.add,
-            (sign * -math.cos(angles[x] - angles[y]) for _, x, y, sign in _CHSH_SETTINGS),
-        )
+        closed = chsh_sum(lambda _, x, y: -math.cos(angles[x] - angles[y]))
         results["closed_form_S"] = closed
         results["closed_form_deviation"] = abs(closed - s_value)
         checks["closed_form_agrees"] = abs(closed - s_value) <= args.tol
@@ -386,11 +342,9 @@ def cmd_chsh(args) -> int:
         rng = np.random.default_rng(args.seed)
         estimates = {
             name: _sample_correlator(state, angles[x], angles[y], args.samples, rng)
-            for name, x, y, _ in _CHSH_SETTINGS
+            for name, x, y, _ in CHSH_TERMS
         }
-        s_estimate = functools.reduce(
-            operator.add, (sign * estimates[name] for name, _, _, sign in _CHSH_SETTINGS)
-        )
+        s_estimate = chsh_sum(lambda name, _x, _y: estimates[name])
         results["sampled"] = {
             "samples_per_setting": args.samples,
             "correlators": estimates,
@@ -451,17 +405,7 @@ def cmd_noclone(args) -> int:
             ("overlap_0.6", ket0, StateVector(np.array([0.6, 0.8], dtype=complex))),
         ]
     else:
-        doc = _config_object(load_json(args.config), str(args.config))
-        entries = doc.get("pairs")
-        if not isinstance(entries, list) or not entries:
-            raise ParseError(f"{args.config}: expected a nonempty 'pairs' array")
-        pairs = []
-        for i, entry in enumerate(entries):
-            entry = _config_object(entry, f"{args.config}: pairs[{i}]")
-            name = entry.get("name", f"pair_{i}")
-            psi = state_from_dict(entry.get("psi", {}), f"{args.config}: pairs[{i}].psi")
-            phi = state_from_dict(entry.get("phi", {}), f"{args.config}: pairs[{i}].phi")
-            pairs.append((name, psi, phi))
+        pairs = state_pairs_from_dict(load_json(args.config), str(args.config))
 
     pair_rows = []
     gap_by_name = {}
@@ -541,21 +485,6 @@ def _default_exchange_quantum() -> dict:
     }
 
 
-def _load_scenario(args, default: dict):
-    doc = _config_object(load_json(args.config), str(args.config)) if args.config else default
-    src_block = doc.get("sources")
-    if not isinstance(src_block, dict) or not src_block:
-        raise ParseError("scenario: expected a nonempty 'sources' object")
-    names = list(src_block)
-    sources = [source_from_dict(src_block[name], f"sources.{name}") for name in names]
-    detector = detector_from_dict(doc.get("detector", {}), "detector")
-    base = Path(args.config).parent if args.config else None
-    observer = (
-        observer_from_dict(doc["observer"], base_dir=base) if "observer" in doc else None
-    )
-    return doc, names, sources, detector, observer
-
-
 def _source_table(rows):
     """The per-source table ``exchange`` and ``geiger`` share."""
     header = ["source", "activity", "distance", "yield", "expected_rate", "outcome"]
@@ -583,7 +512,8 @@ def _source_rows(names, sources, detector):
 
 def cmd_exchange(args) -> int:
     default = {**_default_scenario(), **_default_exchange_quantum()}
-    doc, names, sources, detector, observer = _load_scenario(args, default)
+    doc = load_json(args.config) if args.config else default
+    names, sources, detector, observer, densities = scenario_from_dict(doc, args.config)
     if len(sources) != 2:
         raise ParseError("exchange compares exactly two sources")
     report = exchange_witness(sources[0], sources[1], detector)
@@ -603,9 +533,8 @@ def cmd_exchange(args) -> int:
         "records_equal": report.records_equal,
         "configs_distinct": not report.configs_identical,
     }
-    if observer is not None and "density_a" in doc and "density_b" in doc:
-        rho_a = density_from_dict(doc["density_a"], "density_a")
-        rho_b = density_from_dict(doc["density_b"], "density_b")
+    if observer is not None and len(densities) == 2:
+        rho_a, rho_b = densities
         stats_a = outcome_statistics(rho_a, observer)
         stats_b = outcome_statistics(rho_b, observer)
         comparison = indistinguishable(stats_a, stats_b, tolerance=args.tol)
@@ -630,7 +559,8 @@ def cmd_exchange(args) -> int:
 
 
 def cmd_geiger(args) -> int:
-    doc, names, sources, detector, _ = _load_scenario(args, _default_scenario())
+    doc = load_json(args.config) if args.config else _default_scenario()
+    names, sources, detector, _, _ = scenario_from_dict(doc, args.config)
     rows = _source_rows(names, sources, detector)
     outcomes = [r["outcome"] for r in rows]
     results = {
@@ -663,20 +593,13 @@ def cmd_geiger(args) -> int:
 # parser
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags every subcommand takes, built afresh for each one: children share
-    a parent's actions, so a shared parent would share ``set_defaults(tol=...)``."""
+def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for any sampling mode")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override for checks")
     common.add_argument(
         "--format", choices=("report", "table"), default="report", help="output format"
     )
     common.add_argument("--out", default=None, help="write output to PATH (atomic)")
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
 
     alphabets = argparse.ArgumentParser(add_help=False)
     alphabets.add_argument(
@@ -693,42 +616,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("witness", parents=[_common_flags(), alphabets], help="two machines one trace cannot separate")
+    p = sub.add_parser("witness", parents=[common, alphabets], help="two machines one trace cannot separate")
     p.add_argument("trace", help="trace JSON file")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("enumerate", parents=[_common_flags(), alphabets], help="all consistent machines up to a state bound")
+    p = sub.add_parser("enumerate", parents=[common, alphabets], help="all consistent machines up to a state bound")
     p.add_argument("trace", help="trace JSON file")
     p.add_argument("--max-states", type=int, required=True, help="state bound N >= 1")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("distinguish", parents=[_common_flags()], help="find an experiment separating two machines")
+    p = sub.add_parser("distinguish", parents=[common], help="find an experiment separating two machines")
     p.add_argument("machine_a", help="machine JSON file")
     p.add_argument("machine_b", help="machine JSON file")
     p.set_defaults(func=cmd_distinguish)
 
-    p = sub.add_parser("minimize", parents=[_common_flags()], help="canonical minimal form of a machine")
+    p = sub.add_parser("minimize", parents=[common], help="canonical minimal form of a machine")
     p.add_argument("machine", help="machine JSON file")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("chsh", parents=[_common_flags()], help="CHSH value vs the LHV bound")
+    p = sub.add_parser("chsh", parents=[common], help="CHSH value vs the LHV bound")
     p.add_argument("--config", default=None, help="JSON with optional 'state' and 'angles'")
     p.add_argument("--samples", type=_count_at_least(0), default=None, help="finite-sample estimates per setting")
-    p.set_defaults(func=cmd_chsh, tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="tolerance for checks")
+    p.set_defaults(func=cmd_chsh)
 
-    p = sub.add_parser("ks", parents=[_common_flags()], help="Peres-Mermin square contextuality check")
-    p.set_defaults(func=cmd_ks, tol=1e-12)
+    p = sub.add_parser("ks", parents=[common], help="Peres-Mermin square contextuality check")
+    p.add_argument("--tol", type=float, default=1e-12, help="tolerance for checks")
+    p.set_defaults(func=cmd_ks)
 
-    p = sub.add_parser("noclone", parents=[_common_flags()], help="no-cloning gaps and the record-level analogue")
+    p = sub.add_parser("noclone", parents=[common], help="no-cloning gaps and the record-level analogue")
     p.add_argument("--config", default=None, help="JSON with a 'pairs' array of state pairs")
     p.add_argument("--samples", type=_count_at_least(1), default=100, help="number of random pairs")
-    p.set_defaults(func=cmd_noclone, tol=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12, help="tolerance for checks")
+    p.set_defaults(func=cmd_noclone)
 
-    p = sub.add_parser("exchange", parents=[_common_flags()], help="records invariant under source exchange")
+    p = sub.add_parser("exchange", parents=[common], help="records invariant under source exchange")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector, observer)")
-    p.set_defaults(func=cmd_exchange, tol=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9, help="tolerance for checks")
+    p.set_defaults(func=cmd_exchange)
 
-    p = sub.add_parser("geiger", parents=[_common_flags()], help="deterministic counter outcomes per source")
+    p = sub.add_parser("geiger", parents=[common], help="deterministic counter outcomes per source")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector)")
     p.add_argument("--samples", type=_count_at_least(0), default=None, help="Poisson-sampled counts per source")
     p.set_defaults(func=cmd_geiger)
@@ -740,8 +667,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError) as exc:
+        with np.errstate(all="ignore"):  # validation rejects the inf/NaN numpy would warn of
+            return args.func(args)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

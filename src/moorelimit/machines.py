@@ -253,8 +253,8 @@ def canonical_form(machine: Machine) -> Machine:
 def canonical_encoding(machine: Machine) -> tuple[int, ...]:
     """Integer tuple keying a machine up to renaming of its output symbols' spelling.
 
-    Equal encodings of canonical forms mean isomorphic machines; the tuple also
-    serves as the deterministic (lexicographic) ordering for enumeration output.
+    Equal encodings of canonical forms mean isomorphic machines.  The layout is
+    that of the encodings :mod:`moorelimit.kernels` yields, already in order.
     """
     out_index = machine._output_index
     flat = tuple(t for row in machine.transition for t in row)

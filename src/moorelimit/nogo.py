@@ -8,8 +8,10 @@ exact arithmetic or a brute-force search over a space small enough to print.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,15 +73,27 @@ def correlator(state: DensityOperator, x: float, y: float) -> float:
     return float(np.trace(state.matrix @ observable).real)
 
 
+#: The four CHSH terms: correlator name, Alice's setting, Bob's setting, and
+#: the sign of that term in S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
+CHSH_TERMS = (
+    ("E_ab", "a", "b", 1),
+    ("E_ab_prime", "a", "b_prime", -1),
+    ("E_a_prime_b", "a_prime", "b", 1),
+    ("E_a_prime_b_prime", "a_prime", "b_prime", 1),
+)
+
+
+def chsh_sum(term) -> float:
+    """S from ``term(name, x, y)``, each term's value before its sign, added left to
+    right as S is written: ``sum`` would turn a leading -0.0 into 0.0 and, on Python
+    3.12+, round differently."""
+    return functools.reduce(operator.add, (s * term(n, x, y) for n, x, y, s in CHSH_TERMS))
+
+
 def chsh_value(setting: ChshSetting) -> float:
     """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
     st = setting.state
-    return (
-        correlator(st, setting.a, setting.b)
-        - correlator(st, setting.a, setting.b_prime)
-        + correlator(st, setting.a_prime, setting.b)
-        + correlator(st, setting.a_prime, setting.b_prime)
-    )
+    return chsh_sum(lambda _, x, y: correlator(st, getattr(setting, x), getattr(setting, y)))
 
 
 @dataclass(frozen=True)
@@ -97,7 +111,7 @@ class LhvStrategy:
                 raise ValueError("strategy values must be +1 or -1")
 
     def chsh(self) -> int:
-        return self.a * self.b - self.a * self.b_prime + self.a_prime * self.b + self.a_prime * self.b_prime
+        return chsh_sum(lambda _, x, y: getattr(self, x) * getattr(self, y))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ def _hermitian_spectrum(matrix, what: str) -> tuple[np.ndarray, float, float]:
     greatest eigenvalue; the one Hermiticity check of every operator type."""
     m = _as_matrix(matrix)
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > TAU_NUM:
+    if not dev <= TAU_NUM:  # NaN fails too
         raise ValueError(f"{what} not Hermitian (deviation {dev})")
     vals = np.linalg.eigvalsh((m + m.conj().T) / 2)
     return m, float(vals[0]), float(vals[-1])
@@ -56,7 +56,7 @@ class StateVector:
         if amps.size < 1:
             raise DimensionError("state vector needs dimension >= 1")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > TAU_NORM:
+        if not abs(norm - 1.0) <= TAU_NORM:  # NaN fails too
             raise ValueError(f"state vector norm {norm} deviates from 1 beyond {TAU_NORM}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

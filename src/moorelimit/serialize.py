@@ -1,10 +1,11 @@
-"""JSON formats for machines, traces, operators, POVMs and scenario configs.
+"""JSON formats for machines, traces, operators, POVMs and ``--config`` documents.
 
 Machines serialize with explicit ``states``/``inputs``/``outputs``/``initial``
 /``delta``/``lambda`` fields; traces as one record per step (``output`` plus,
 from the second step on, an optional ``input``); operators as ``dim`` with
-row-major ``re``/``im`` arrays.  Parsing raises :class:`ParseError` with a
-field-level message; writing is atomic (temp file + rename).
+row-major ``re``/``im`` arrays.  Each JSON kind has one reader (``_object``,
+``_symbol``, ``_number``, ``_integer``) that every document uses.  Parsing
+raises :class:`ParseError` with a field-level message; writing is atomic.
 """
 
 from __future__ import annotations
@@ -26,10 +27,14 @@ class ParseError(ValueError):
     """A document does not match the expected schema."""
 
 
-def _require(doc: dict, key: str, where: str):
+def _object(doc, where: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object, got {type(doc).__name__}")
-    if key not in doc:
+    return doc
+
+
+def _require(doc: dict, key: str, where: str):
+    if key not in _object(doc, where):
         raise ParseError(f"{where}: missing field {key!r}")
     return doc[key]
 
@@ -43,17 +48,44 @@ def _symbols(values, where: str) -> list:
     return values
 
 
-def _floats(values, where: str) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
 def _symbol(sym, where: str):
     if isinstance(sym, bool) or not isinstance(sym, (str, int)):
         raise ParseError(f"{where}: a symbol must be a string or an integer, got {sym!r}")
     return sym
+
+
+def _checked(where: str, build):
+    """``build()``, a constructor's rejection of a value re-raised as a ParseError at ``where``."""
+    try:
+        return build()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
+def _number(value, where: str) -> float:
+    """A JSON number (not a bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: expected a number, got {value!r}")
+    return _checked(where, lambda: float(value))
+
+
+def _integer(value, where: str) -> int:
+    """An integer, or a float with an integral value such as ``50.0``; not a bool."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _floats(values, where: str) -> np.ndarray:
+    """An array of numbers, or an array of such arrays, as a float array."""
+    nested = isinstance(values, list) and any(isinstance(v, list) for v in values)
+    for i, row in enumerate(values if nested else [values]):
+        at = f"{where}[{i}]" if nested else where
+        if not isinstance(row, list):
+            raise ParseError(f"{at}: expected an array of numbers, got {type(row).__name__}")
+        for j, v in enumerate(row):
+            _number(v, f"{at}[{j}]")
+    return _checked(where, lambda: np.asarray(values, dtype=float))
 
 
 def machine_to_dict(machine: Machine) -> dict:
@@ -74,17 +106,14 @@ def machine_from_dict(doc: dict, where: str = "machine") -> Machine:
     initial = _require(doc, "initial", where)
     delta = _require(doc, "delta", where)
     lam = _symbols(_require(doc, "lambda", where), f"{where}.lambda")
-    try:
-        return Machine(
-            state_count=states,
-            input_alphabet=tuple(inputs),
-            output_alphabet=tuple(outputs),
-            transition=tuple(tuple(row) for row in delta),
-            output=tuple(lam),
-            initial=initial,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _checked(where, lambda: Machine(
+        state_count=states,
+        input_alphabet=tuple(inputs),
+        output_alphabet=tuple(outputs),
+        transition=tuple(tuple(row) for row in delta),
+        output=tuple(lam),
+        initial=initial,
+    ))
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -118,10 +147,7 @@ def trace_from_dict(doc: dict, where: str = "trace") -> tuple[Trace, list | None
         raise ParseError(
             f"{where}: inputs must appear on every step after the first or on none"
         )
-    try:
-        trace = Trace(tuple(outputs), tuple(inputs) if inputs else None)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    trace = _checked(where, lambda: Trace(tuple(outputs), tuple(inputs) if inputs else None))
     alphabets = [
         None if doc.get(key) is None else _symbols(doc[key], f"{where}.{key}")
         for key in ("output_alphabet", "input_alphabet")
@@ -139,7 +165,7 @@ def matrix_to_dict(matrix: np.ndarray) -> dict:
 
 
 def matrix_from_dict(doc: dict, where: str = "operator") -> np.ndarray:
-    dim = _require(doc, "dim", where)
+    dim = _integer(_require(doc, "dim", where), f"{where}.dim")
     re = _floats(_require(doc, "re", where), f"{where}.re")
     im = _floats(_require(doc, "im", where), f"{where}.im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
@@ -156,23 +182,17 @@ def state_to_dict(psi: StateVector) -> dict:
 
 
 def state_from_dict(doc: dict, where: str = "state") -> StateVector:
-    dim = _require(doc, "dim", where)
+    dim = _integer(_require(doc, "dim", where), f"{where}.dim")
     re = _floats(_require(doc, "re", where), f"{where}.re")
     im = _floats(_require(doc, "im", where), f"{where}.im")
     if re.shape != (dim,) or im.shape != (dim,):
         raise ParseError(f"{where}: re/im must be flat arrays of length {dim}")
-    try:
-        return StateVector(re + 1j * im)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _checked(where, lambda: StateVector(re + 1j * im))
 
 
 def density_from_dict(doc: dict, where: str = "density") -> DensityOperator:
     matrix = matrix_from_dict(doc, where)
-    try:
-        return DensityOperator(matrix)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _checked(where, lambda: DensityOperator(matrix))
 
 
 def povm_to_dict(povm: Povm) -> dict:
@@ -184,44 +204,26 @@ def povm_to_dict(povm: Povm) -> dict:
 
 
 def povm_from_dict(doc: dict, where: str = "povm") -> Povm:
-    labels = _require(doc, "labels", where)
+    labels = _symbols(_require(doc, "labels", where), f"{where}.labels")
     effects = _require(doc, "effects", where)
     if not isinstance(effects, list) or not effects:
         raise ParseError(f"{where}: 'effects' must be a nonempty array")
     matrices = [matrix_from_dict(e, f"{where}.effects[{i}]") for i, e in enumerate(effects)]
-    try:
-        return Povm(effects=tuple(Effect(m) for m in matrices), labels=tuple(labels))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    return _checked(where, lambda: Povm(tuple(Effect(m) for m in matrices), tuple(labels)))
 
 
 def source_from_dict(doc: dict, where: str = "source") -> SourceConfig:
-    activity = _require(doc, "activity", where)
-    distance = _require(doc, "distance", where)
-    try:
-        return SourceConfig(
-            activity=float(activity),
-            distance=float(distance),
-            photon_yield=float(doc.get("yield", 1.0)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    activity = _number(_require(doc, "activity", where), f"{where}: activity")
+    distance = _number(_require(doc, "distance", where), f"{where}: distance")
+    photon_yield = _number(doc.get("yield", 1.0), f"{where}: yield")
+    return _checked(where, lambda: SourceConfig(activity, distance, photon_yield))
 
 
 def detector_from_dict(doc: dict, where: str = "detector") -> DetectorConfig:
-    aperture = _require(doc, "aperture_diameter", where)
-    efficiency = _require(doc, "efficiency", where)
-    saturation = doc.get("saturation", 100)
-    if not (type(saturation) is int or type(saturation) is float and saturation.is_integer()):
-        raise ParseError(f"{where}.saturation: expected an integer, got {saturation!r}")
-    try:
-        return DetectorConfig(
-            aperture_diameter=float(aperture),
-            efficiency=float(efficiency),
-            saturation=int(saturation),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+    aperture = _number(_require(doc, "aperture_diameter", where), f"{where}: aperture_diameter")
+    efficiency = _number(_require(doc, "efficiency", where), f"{where}: efficiency")
+    saturation = _integer(doc.get("saturation", 100), f"{where}.saturation")
+    return _checked(where, lambda: DetectorConfig(aperture, efficiency, saturation))
 
 
 def detector_to_dict(detector: DetectorConfig) -> dict:
@@ -234,24 +236,70 @@ def detector_to_dict(detector: DetectorConfig) -> dict:
 
 def observer_from_dict(doc: dict, base_dir: Path | None = None, where: str = "observer") -> ObserverModel:
     """Observer block: environment dimension plus named POVMs, inline or by file."""
-    env_dim = _require(doc, "env_dim", where)
+    env_dim = _integer(_require(doc, "env_dim", where), f"{where}.env_dim")
     entries = _require(doc, "povms", where)
     if not isinstance(entries, list) or not entries:
         raise ParseError(f"{where}: 'povms' must be a nonempty array")
     povms = {}
     for i, entry in enumerate(entries):
-        name = _require(entry, "name", f"{where}.povms[{i}]")
+        at = f"{where}.povms[{i}]"
+        name = _symbol(_require(entry, "name", at), f"{at}.name")
+        if str(name) in map(str, povms):  # the report keys statistics by the name's JSON spelling
+            raise ParseError(f"{at}.name: {name!r} names an earlier POVM too")
         if "file" in entry:
-            path = Path(entry["file"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            povms[name] = povm_from_dict(load_json(path), f"{where}.povms[{i}]")
-        else:
-            povms[name] = povm_from_dict(entry, f"{where}.povms[{i}]")
-    try:
-        return ObserverModel(env_dim=env_dim, povms=povms)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+            if not isinstance(entry["file"], str):
+                raise ParseError(f"{at}.file: expected a path string, got {entry['file']!r}")
+            entry = load_json(base_dir / entry["file"] if base_dir else entry["file"])
+        povms[name] = povm_from_dict(entry, at)
+    return _checked(where, lambda: ObserverModel(env_dim=env_dim, povms=povms))
+
+
+def chsh_config_from_dict(doc: dict, where: str) -> tuple[dict, DensityOperator | None]:
+    """A ``chsh`` config: its four ``angles`` (empty without the block) and its
+    ``state``, a flat vector or a density matrix (None without the block)."""
+    angles = {}
+    if "angles" in _object(doc, where):
+        block = _object(doc["angles"], f"{where}: angles")
+        for key in ("a", "a_prime", "b", "b_prime"):
+            angles[key] = _number(_require(block, key, f"{where}: angles"), f"{where}: angles.{key}")
+    if "state" not in doc:
+        return angles, None
+    at = f"{where}: state"
+    re_block = _object(doc["state"], at).get("re")
+    if isinstance(re_block, list) and re_block and isinstance(re_block[0], list):
+        return angles, density_from_dict(doc["state"], at)
+    return angles, DensityOperator.from_state(state_from_dict(doc["state"], at))
+
+
+def state_pairs_from_dict(doc: dict, where: str) -> list[tuple]:
+    """A ``noclone`` config: ``(name, psi, phi)`` for each entry of its ``pairs`` array."""
+    entries = _object(doc, where).get("pairs")
+    if not isinstance(entries, list) or not entries:
+        raise ParseError(f"{where}: expected a nonempty 'pairs' array")
+    pairs = []
+    for i, entry in enumerate(entries):
+        at = f"{where}: pairs[{i}]"
+        name = _symbol(_object(entry, at).get("name", f"pair_{i}"), f"{at}.name")
+        psi = state_from_dict(_require(entry, "psi", at), f"{at}.psi")
+        phi = state_from_dict(_require(entry, "phi", at), f"{at}.phi")
+        pairs.append((name, psi, phi))
+    return pairs
+
+
+def scenario_from_dict(doc: dict, path: str | None = None) -> tuple:
+    """An ``exchange``/``geiger`` config from ``path`` (None if built in) as ``(names, sources,
+    detector, observer or None, [density_a, density_b] where present)``; POVM files
+    resolve against the config's directory."""
+    src_block = _object(doc, str(path)).get("sources")
+    if not isinstance(src_block, dict) or not src_block:
+        raise ParseError("scenario: expected a nonempty 'sources' object")
+    names = list(src_block)
+    sources = [source_from_dict(src_block[name], f"sources.{name}") for name in names]
+    detector = detector_from_dict(doc.get("detector", {}), "detector")
+    base_dir = Path(path).parent if path else None
+    observer = observer_from_dict(doc["observer"], base_dir) if "observer" in doc else None
+    densities = [density_from_dict(doc[key], key) for key in ("density_a", "density_b") if key in doc]
+    return names, sources, detector, observer, densities
 
 
 def load_json(path) -> Any:
@@ -260,6 +308,8 @@ def load_json(path) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None
 
 
 def dumps_report(doc: Any) -> str:

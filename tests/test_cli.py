@@ -13,7 +13,8 @@ from moorelimit.serialize import machine_to_dict
 
 
 def write_json(path, doc):
-    path.write_text(json.dumps(doc))
+    """Write ``doc`` as JSON; a string is written as it is, for text no encoder makes."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -148,8 +149,9 @@ def test_invalid_json_exits_2(capsys, tmp_path):
             {"states": 2, "inputs": ["a"], "outputs": [0, 1], "initial": 0,
              "delta": [[True], [0]], "lambda": [0, 1]},
         ),
+        ("witness", "[" * 100_000),
     ],
-    ids=["list-symbol", "object-symbol", "bool-state"],
+    ids=["list-symbol", "object-symbol", "bool-state", "deeply-nested"],
 )
 def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, command, doc):
     argv = [command, write_json(tmp_path / "doc.json", doc)]
@@ -180,6 +182,24 @@ def test_negative_samples_rejected_at_parsing(capsys, command, value, message):
 ANGLES = {"a": 0.0, "a_prime": 1.0, "b": 0.5, "b_prime": 2.0}
 SOURCE = {"activity": 1.0, "distance": 1.0}
 DETECTOR = {"aperture_diameter": 2.0, "efficiency": 0.5}
+KET0 = {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]}
+POVM_Z = {
+    "dim": 2,
+    "labels": [0, 1],
+    "effects": [
+        {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    ],
+}
+
+
+def with_observer(env_dim=2, **povm):
+    """A two-source scenario whose observer carries one POVM, ``POVM_Z`` updated by ``povm``."""
+    return {
+        "sources": {"s": SOURCE, "t": SOURCE},
+        "detector": DETECTOR,
+        "observer": {"env_dim": env_dim, "povms": [{"name": "z", **POVM_Z, **povm}]},
+    }
 
 
 @pytest.mark.parametrize(
@@ -203,13 +223,21 @@ DETECTOR = {"aperture_diameter": 2.0, "efficiency": 0.5}
         ("geiger", {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "aperture_diameter": "inf"}}, "detector: aperture"),
         ("geiger", {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "aperture_diameter": 1e200}}, "aperture"),
         ("geiger", {"sources": {"s": {"distance": 1.0}}, "detector": DETECTOR}, "error: sources.s: missing field 'activity'"),
+        ("noclone", {"pairs": [{"name": [1], "psi": KET0, "phi": KET0}]}, "c.json: pairs[0].name: "),
+        ("chsh", {"state": {"dim": 4, "re": {"x": 1}, "im": []}}, "c.json: state.re: "),
+        ("exchange", with_observer(env_dim="x"), "observer.env_dim: "),
+        ("exchange", with_observer(name=["c"]), "observer.povms[0].name: "),
+        ("exchange", with_observer(file=7), "observer.povms[0].file: "),
+        ("exchange", {**with_observer(), "observer": {"env_dim": 2, "povms": [{"name": 1, **POVM_Z}, {"name": "1", **POVM_Z}]}}, "observer.povms[1].name: "),
+        ("noclone", {"pairs": [{"psi": {**KET0, "re": [float("nan"), 0.0]}, "phi": KET0}]}, "c.json: pairs[0].psi: "),
     ],
     ids=[
         "chsh-array", "chsh-angles-number", "chsh-angle-array", "chsh-angle-string",
         "noclone-array", "noclone-pair-number", "geiger-array", "exchange-array",
         "distance-underflow", "distance-overflow", "activity-inf", "activity-nan", "activity-huge-int",
         "rate-overflow", "saturation-fraction", "aperture-inf", "aperture-overflow",
-        "missing-activity",
+        "missing-activity", "pair-name-array", "state-re-object", "env-dim-string",
+        "povm-name-array", "povm-file-number", "povm-name-repeated", "amplitude-nan",
     ],
 )
 def test_malformed_config_exits_2_naming_the_field(capsys, tmp_path, command, doc, field):
@@ -227,6 +255,19 @@ def test_tolerance_defaults_per_command():
     for command, tol in defaults.items():
         assert parser.parse_args([command]).tol == tol
         assert parser.parse_args([command, "--tol", "0.5"]).tol == 0.5
+    # the other subcommands check nothing against a tolerance, so they take no --tol
+    others = {
+        "witness": ["t.json"],
+        "enumerate": ["t.json", "--max-states", "2"],
+        "distinguish": ["a.json", "b.json"],
+        "minimize": ["m.json"],
+        "geiger": [],
+    }
+    for command, operands in others.items():
+        assert "tol" not in vars(parser.parse_args([command, *operands]))
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, *operands, "--tol", "0.5"])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

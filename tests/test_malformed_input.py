@@ -1,0 +1,159 @@
+"""Malformed input never escapes the exit-code contract.
+
+Each case starts from a valid document of one input format, puts a value of
+some JSON kind at one path of it, and runs ``cli.main`` in process.  No
+exception may escape; exit 2 prints exactly one ``error:`` line; exit 0 or 1
+prints strict JSON (no ``NaN`` or ``Infinity`` tokens); no warning is raised.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from moorelimit import cli
+
+ZEROS = [[0.0, 0.0], [0.0, 0.0]]
+POVM = {
+    "dim": 2,
+    "labels": ["click", 1],
+    "effects": [
+        {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": ZEROS},
+        {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": ZEROS},
+    ],
+}
+SCENARIO = {
+    "sources": {
+        "near": {"activity": 3.7e6, "distance": 100.0, "yield": 1.0},
+        "far": {"activity": 1.48e7, "distance": 200.0},
+    },
+    "detector": {"aperture_diameter": 2.0, "efficiency": 0.008, "saturation": 100},
+    "observer": {
+        "env_dim": 2,
+        "povms": [{"name": "inline", **POVM}, {"name": 7, "file": "povm.json"}],
+    },
+    "density_a": {"dim": 2, "re": [[0.75, 0.0], [0.0, 0.25]], "im": ZEROS},
+    "density_b": {"dim": 2, "re": [[0.75, 0.2], [0.2, 0.25]], "im": [[0.0, 0.1], [-0.1, 0.0]]},
+}
+PRODUCT_STATE = {"dim": 4, "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}
+SINGLET_DENSITY = {
+    "dim": 4,
+    "re": [[0, 0, 0, 0], [0, 0.5, -0.5, 0], [0, -0.5, 0.5, 0], [0, 0, 0, 0]],
+    "im": [[0] * 4 for _ in range(4)],
+}
+
+# format -> (argv naming files by their names, {file name: valid document}, mutated file)
+FORMATS = {
+    "trace": (
+        ["witness", "t.json"],
+        {"t.json": {"steps": [{"output": 0}, {"output": 1, "input": "a"}],
+                    "output_alphabet": [0, 1], "input_alphabet": ["a", "b"]}},
+        "t.json",
+    ),
+    "machine": (
+        ["minimize", "m.json"],
+        {"m.json": {"states": 2, "inputs": ["a"], "outputs": [0, "x"], "initial": 0,
+                    "delta": [[1], [0]], "lambda": [0, "x"]}},
+        "m.json",
+    ),
+    "state": (["chsh", "--config", "c.json"], {"c.json": {"state": PRODUCT_STATE}}, "c.json"),
+    "density": (["chsh", "--config", "c.json"], {"c.json": {"state": SINGLET_DENSITY}}, "c.json"),
+    "chsh": (
+        ["chsh", "--config", "c.json"],
+        {"c.json": {"angles": {"a": 0, "a_prime": 1.5, "b": 0.7, "b_prime": 2.3},
+                    "state": PRODUCT_STATE}},
+        "c.json",
+    ),
+    "povm": (
+        ["exchange", "--config", "s.json"],
+        {"s.json": SCENARIO, "povm.json": POVM},
+        "povm.json",
+    ),
+    "scenario": (
+        ["exchange", "--config", "s.json"],
+        {"s.json": SCENARIO, "povm.json": POVM},
+        "s.json",
+    ),
+    "geiger": (["geiger", "--config", "s.json"], {"s.json": SCENARIO, "povm.json": POVM}, "s.json"),
+    "noclone": (
+        ["noclone", "--samples", "1", "--config", "p.json"],
+        {"p.json": {"pairs": [
+            {"name": "a", "psi": {"dim": 2, "re": [1.0, 0.0], "im": [0.0, 0.0]},
+             "phi": {"dim": 2, "re": [0.6, 0.0], "im": [0.0, 0.8]}},
+            {"psi": {"dim": 2, "re": [0, 1], "im": [0, 0]},
+             "phi": {"dim": 2, "re": [0, 1], "im": [0, 0]}},
+        ]}},
+        "p.json",
+    ),
+}
+
+KINDS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 5),
+    st.just(10**400),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, 1e308]),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(0, 1), st.floats(0, 1)), max_size=3),
+    st.dictionaries(st.sampled_from(["x", "dim", "re"]), st.integers(0, 2), max_size=2),
+)
+
+
+def json_paths(doc, path=()):
+    """Every path of ``doc``, the empty path (the whole document) first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_malformed_input_keeps_the_exit_code_contract(fmt, data):
+    argv, files, target = FORMATS[fmt]
+    path = data.draw(st.sampled_from(list(json_paths(files[target]))), label="path")
+    value = data.draw(KINDS, label="value")
+    files = {**files, target: replaced(files[target], path, value)}
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name, doc in files.items():
+            (directory / name).write_text(json.dumps(doc))
+        argv = [str(directory / a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert not caught, "a warning would print more lines on stderr"
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert out == ""
+    else:
+        assert code in (0, 1) and err == ""
+        json.loads(out, parse_constant=reject_constant)
