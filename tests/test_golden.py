@@ -25,6 +25,7 @@ CASES = {
     "witness.csv": ["witness", "trace.json", "--format", "table"],
     "enumerate.json": ["enumerate", "trace.json", "--max-states", "3"],
     "enumerate.csv": ["enumerate", "trace.json", "--max-states", "3", "--format", "table"],
+    "enumerate_ab.json": ["enumerate", "trace_ab.json", "--max-states", "3"],
     "distinguish.json": ["distinguish", "machine_a.json", "machine_b.json"],
     "distinguish.csv": ["distinguish", "machine_a.json", "machine_b.json", "--format", "table"],
     "distinguish_equivalent.json": ["distinguish", "machine_a.json", "machine_padded.json"],
