@@ -18,6 +18,7 @@ from .machines import (
     canonical_encoding,
     canonical_form,
     consistent,
+    consistent_encodings,
     distinguishing_experiment,
     enumerate_consistent,
     equivalent,

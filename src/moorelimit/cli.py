@@ -25,8 +25,9 @@ from . import __version__
 from .machines import (
     Trace,
     consistent,
+    consistent_encodings,
     distinguishing_experiment,
-    enumerate_consistent,
+    enumerate_consistent,  # unused here; perfbench/tracing.py looks it up on this module by name
     equivalent,
     minimize,
     run_experiment,
@@ -68,6 +69,7 @@ from .serialize import (
     chsh_config_from_dict,
     detector_to_dict,
     dumps_report,
+    encoding_to_dict,
     load_json,
     machine_from_dict,
     machine_to_dict,
@@ -219,26 +221,40 @@ def cmd_witness(args) -> int:
     return _finish(args, "witness", echo, results, checks, table)
 
 
+def _row_reproduces(row: dict, trace: Trace) -> bool:
+    """True iff the machine document ``row`` emits the trace's outputs on its inputs,
+    replayed on the row's own ``delta`` and ``lambda``."""
+    column = {sym: i for i, sym in enumerate(row["inputs"])}
+    delta, lam = row["delta"], row["lambda"]
+    state = row["initial"]
+    emitted = [lam[state]]
+    for sym in trace.inputs:
+        state = delta[state][column[sym]]
+        emitted.append(lam[state])
+    return emitted == list(trace.outputs)
+
+
 def cmd_enumerate(args) -> int:
     if args.max_states < 1:
         raise ParseError(f"--max-states must be at least 1, got {args.max_states}")
     trace, out_alpha, in_alpha, echo = _load_trace(args)
     echo["max_states"] = args.max_states
-    machines = enumerate_consistent(trace, args.max_states, out_alpha, in_alpha)
+    outputs, inputs, encodings = consistent_encodings(trace, args.max_states, out_alpha, in_alpha)
+    rows = [encoding_to_dict(enc, inputs, outputs) for enc in encodings]
     counts = [
-        {"max_states": bound, "count": sum(m.state_count <= bound for m in machines)}
+        {"max_states": bound, "count": sum(enc[0] <= bound for enc in encodings)}
         for bound in range(1, args.max_states + 1)
     ]
     results = {
         "counts": counts,
         "count": counts[-1]["count"],
-        "machines": [machine_to_dict(m) for m in machines],
+        "machines": rows,
     }
     tally = [c["count"] for c in counts]
     checks = {
         "counts_nondecreasing": all(x <= y for x, y in zip(tally, tally[1:])),
-        "all_consistent": all(consistent(m, trace) for m in machines),
-        "all_within_bound": all(m.state_count <= args.max_states for m in machines),
+        "all_consistent": all(_row_reproduces(row, trace) for row in rows),
+        "all_within_bound": all(row["states"] <= args.max_states for row in rows),
     }
     table = (["max_states", "count"], [[c["max_states"], c["count"]] for c in counts])
     return _finish(args, "enumerate", echo, results, checks, table)

@@ -389,6 +389,32 @@ def witness_moore(
     return WitnessPair(machine_a=machine_a, machine_b=machine_b, separating=separating)
 
 
+def consistent_encodings(
+    trace: Trace,
+    max_states: int,
+    output_alphabet: Sequence[Symbol] | None = None,
+    input_alphabet: Sequence[Symbol] | None = None,
+) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...], list[tuple[int, ...]]]:
+    """``(outputs, inputs, encodings)``: the resolved alphabets and the sorted
+    canonical encodings of every behavior :func:`enumerate_consistent` reports.
+
+    An encoding is ``(m, *delta, *lam)``: the state count, the ``m`` rows of
+    the transition table flattened in input-alphabet order, and each state's
+    output as an index into ``outputs``; the initial state is 0.
+    """
+    if max_states < 1:
+        raise ValueError("max_states must be >= 1")
+    outputs, inputs = _resolve_alphabets(trace, output_alphabet, input_alphabet)
+    out_index = {sym: i for i, sym in enumerate(outputs)}
+    in_index = {sym: i for i, sym in enumerate(inputs)}
+    trace_out = tuple(out_index[sym] for sym in trace.outputs)
+    trace_in = tuple(in_index[sym] for sym in trace.inputs)
+    encodings = kernels.consistent_machine_encodings(
+        max_states, len(inputs), len(outputs), trace_in, trace_out
+    )
+    return outputs, inputs, encodings
+
+
 def enumerate_consistent(
     trace: Trace,
     max_states: int,
@@ -403,30 +429,25 @@ def enumerate_consistent(
     (:mod:`moorelimit.kernels`) generates only transition tables already in
     breadth-first canonical order and keeps those that reproduce the trace and
     have no two equivalent states, so every minimal machine appears once.
+    This builds a :class:`Machine` from each of :func:`consistent_encodings`'s
+    encodings; code that only writes the machines out can use the encodings
+    directly.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be >= 1")
-    outputs, inputs = _resolve_alphabets(trace, output_alphabet, input_alphabet)
-    out_index = {sym: i for i, sym in enumerate(outputs)}
-    in_index = {sym: i for i, sym in enumerate(inputs)}
-    trace_out = tuple(out_index[sym] for sym in trace.outputs)
-    trace_in = tuple(in_index[sym] for sym in trace.inputs)
-    encodings = kernels.consistent_machine_encodings(
-        max_states, len(inputs), len(outputs), trace_in, trace_out
+    outputs, inputs, encodings = consistent_encodings(
+        trace, max_states, output_alphabet, input_alphabet
     )
+    k = len(inputs)
     machines = []
     for enc in encodings:
         m = enc[0]
-        flat = enc[1 : 1 + m * len(inputs)]
-        lam = enc[1 + m * len(inputs) :]
+        flat = enc[1 : 1 + m * k]
+        lam = enc[1 + m * k :]
         machines.append(
             Machine(
                 state_count=m,
                 input_alphabet=inputs,
                 output_alphabet=outputs,
-                transition=tuple(
-                    tuple(flat[s * len(inputs) : (s + 1) * len(inputs)]) for s in range(m)
-                ),
+                transition=tuple(tuple(flat[s * k : (s + 1) * k]) for s in range(m)),
                 output=tuple(outputs[i] for i in lam),
                 initial=0,
             )

@@ -48,9 +48,15 @@ def _symbols(values, where: str) -> list:
     return values
 
 
+def _quoted(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters ending in ``...``."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _symbol(sym, where: str):
     if isinstance(sym, bool) or not isinstance(sym, (str, int)):
-        raise ParseError(f"{where}: a symbol must be a string or an integer, got {sym!r}")
+        raise ParseError(f"{where}: a symbol must be a string or an integer, got {_quoted(sym)}")
     return sym
 
 
@@ -65,14 +71,14 @@ def _checked(where: str, build):
 def _number(value, where: str) -> float:
     """A JSON number (not a bool) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {value!r}")
+        raise ParseError(f"{where}: expected a number, got {_quoted(value)}")
     return _checked(where, lambda: float(value))
 
 
 def _integer(value, where: str) -> int:
     """An integer, or a float with an integral value such as ``50.0``; not a bool."""
     if not (type(value) is int or type(value) is float and value.is_integer()):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
+        raise ParseError(f"{where}: expected an integer, got {_quoted(value)}")
     return int(value)
 
 
@@ -88,15 +94,37 @@ def _floats(values, where: str) -> np.ndarray:
     return _checked(where, lambda: np.asarray(values, dtype=float))
 
 
-def machine_to_dict(machine: Machine) -> dict:
+def _machine_row(states: int, inputs: list, outputs: list, initial: int, delta: list, lam: list) -> dict:
+    """The one layout of a machine document: its fields, in report order."""
     return {
-        "states": machine.state_count,
-        "inputs": list(machine.input_alphabet),
-        "outputs": list(machine.output_alphabet),
-        "initial": machine.initial,
-        "delta": [list(row) for row in machine.transition],
-        "lambda": list(machine.output),
+        "states": states,
+        "inputs": inputs,
+        "outputs": outputs,
+        "initial": initial,
+        "delta": delta,
+        "lambda": lam,
     }
+
+
+def machine_to_dict(machine: Machine) -> dict:
+    return _machine_row(
+        machine.state_count,
+        list(machine.input_alphabet),
+        list(machine.output_alphabet),
+        machine.initial,
+        [list(row) for row in machine.transition],
+        list(machine.output),
+    )
+
+
+def encoding_to_dict(encoding: tuple[int, ...], inputs: tuple, outputs: tuple) -> dict:
+    """The document :func:`machine_to_dict` gives for the machine that one of
+    :func:`moorelimit.machines.consistent_encodings`'s encodings describes
+    over the alphabets ``inputs`` and ``outputs``."""
+    m, k = encoding[0], len(inputs)
+    delta = [list(encoding[1 + s * k : 1 + (s + 1) * k]) for s in range(m)]
+    lam = [outputs[i] for i in encoding[1 + m * k :]]
+    return _machine_row(m, list(inputs), list(outputs), 0, delta, lam)
 
 
 def machine_from_dict(doc: dict, where: str = "machine") -> Machine:
@@ -245,10 +273,10 @@ def observer_from_dict(doc: dict, base_dir: Path | None = None, where: str = "ob
         at = f"{where}.povms[{i}]"
         name = _symbol(_require(entry, "name", at), f"{at}.name")
         if str(name) in map(str, povms):  # the report keys statistics by the name's JSON spelling
-            raise ParseError(f"{at}.name: {name!r} names an earlier POVM too")
+            raise ParseError(f"{at}.name: {_quoted(name)} names an earlier POVM too")
         if "file" in entry:
             if not isinstance(entry["file"], str):
-                raise ParseError(f"{at}.file: expected a path string, got {entry['file']!r}")
+                raise ParseError(f"{at}.file: expected a path string, got {_quoted(entry['file'])}")
             entry = load_json(base_dir / entry["file"] if base_dir else entry["file"])
         povms[name] = povm_from_dict(entry, at)
     return _checked(where, lambda: ObserverModel(env_dim=env_dim, povms=povms))
@@ -267,8 +295,12 @@ def chsh_config_from_dict(doc: dict, where: str) -> tuple[dict, DensityOperator 
     at = f"{where}: state"
     re_block = _object(doc["state"], at).get("re")
     if isinstance(re_block, list) and re_block and isinstance(re_block[0], list):
-        return angles, density_from_dict(doc["state"], at)
-    return angles, DensityOperator.from_state(state_from_dict(doc["state"], at))
+        state = density_from_dict(doc["state"], at)
+    else:
+        state = DensityOperator.from_state(state_from_dict(doc["state"], at))
+    if state.dim != 4:
+        raise ParseError(f"{at}: CHSH needs a two-qubit state (dim 4), got dim {state.dim}")
+    return angles, state
 
 
 def state_pairs_from_dict(doc: dict, where: str) -> list[tuple]:
@@ -282,6 +314,8 @@ def state_pairs_from_dict(doc: dict, where: str) -> list[tuple]:
         name = _symbol(_object(entry, at).get("name", f"pair_{i}"), f"{at}.name")
         psi = state_from_dict(_require(entry, "psi", at), f"{at}.psi")
         phi = state_from_dict(_require(entry, "phi", at), f"{at}.phi")
+        if psi.dim != phi.dim:
+            raise ParseError(f"{at}: state dims differ: psi has {psi.dim}, phi has {phi.dim}")
         pairs.append((name, psi, phi))
     return pairs
 
@@ -312,9 +346,75 @@ def load_json(path) -> Any:
         raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None
 
 
+_encode_str = json.encoder.encode_basestring  # the string spelling of ensure_ascii=False
+_MEMO_ITEM_TYPES = {str, int}  # exact types: a bool or a float item keeps a list out of the memo
+
+
+def _scalar_text(value) -> str | None:
+    """JSON text of a string, number, bool or None, spelled as :mod:`json` spells
+    it; None for any other value."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False or isinstance(value, float):
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return None
+
+
+def _key_text(key) -> str:
+    """A dict key as :mod:`json` writes it: a scalar's text, quoted as a string."""
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _encode_str(text)
+
+
 def dumps_report(doc: Any) -> str:
-    """Deterministic rendering: fixed key order, repr-exact floats, one trailing newline."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Deterministic rendering: fixed key order, repr-exact floats, one trailing newline.
+
+    The text is byte-identical to ``json.dumps(doc, indent=2,
+    ensure_ascii=False) + "\\n"`` for every JSON value (dicts, lists, tuples,
+    strings, numbers, bools, None), with the same key conversion and the same
+    TypeError for a value or key ``json`` refuses; a circular structure is
+    not a JSON value and ends in a RecursionError.  A list of strings and
+    integers only (bools and floats excluded, so ``1``, ``True`` and ``1.0``
+    never share an entry) is rendered once per indentation and reused, which
+    pays off on the many equal ``delta`` rows and alphabets of an
+    ``enumerate`` report.
+    """
+    memo: dict[tuple, str] = {}
+
+    def render(value, pad: str) -> str:
+        kind = type(value)
+        if kind is str:
+            return _encode_str(value)
+        if kind is int:
+            return int.__repr__(value)
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            fields = [_key_text(k) + ": " + render(v, inner) for k, v in value.items()]
+            return "{\n" + inner + sep.join(fields) + "\n" + pad + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            items = tuple(value)
+            flat = set(map(type, items)) <= _MEMO_ITEM_TYPES
+            text = memo.get((pad, items)) if flat else None
+            if text is None:
+                text = "[\n" + inner + sep.join([render(v, inner) for v in items]) + "\n" + pad + "]"
+                if flat:
+                    memo[pad, items] = text
+            return text
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        return text
+
+    return render(doc, "") + "\n"
 
 
 def write_atomic(path, text: str) -> None:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import sys
 import pytest
 
 from moorelimit import cli
-from moorelimit.machines import Machine
-from moorelimit.serialize import machine_to_dict
+from moorelimit.machines import Machine, Trace, enumerate_consistent
+from moorelimit.serialize import machine_to_dict, trace_from_dict
 
 
 def write_json(path, doc):
@@ -139,6 +140,9 @@ def test_invalid_json_exits_2(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+NESTED_LIST = json.loads("[" * 400 + "]" * 400)  # shallow enough for json under pytest's stack
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -150,8 +154,10 @@ def test_invalid_json_exits_2(capsys, tmp_path):
              "delta": [[True], [0]], "lambda": [0, 1]},
         ),
         ("witness", "[" * 100_000),
+        ("enumerate", {"steps": [{"output": NESTED_LIST}]}),
+        ("witness", {"steps": [{"output": 0}, {"output": 1, "input": ["x" * 5000]}]}),
     ],
-    ids=["list-symbol", "object-symbol", "bool-state", "deeply-nested"],
+    ids=["list-symbol", "object-symbol", "bool-state", "deeply-nested", "nested-symbol", "long-symbol"],
 )
 def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, command, doc):
     argv = [command, write_json(tmp_path / "doc.json", doc)]
@@ -160,6 +166,7 @@ def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, comman
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < len(str(tmp_path)) + 200  # a quoted value is cut short
 
 
 @pytest.mark.parametrize(
@@ -230,6 +237,8 @@ def with_observer(env_dim=2, **povm):
         ("exchange", with_observer(file=7), "observer.povms[0].file: "),
         ("exchange", {**with_observer(), "observer": {"env_dim": 2, "povms": [{"name": 1, **POVM_Z}, {"name": "1", **POVM_Z}]}}, "observer.povms[1].name: "),
         ("noclone", {"pairs": [{"psi": {**KET0, "re": [float("nan"), 0.0]}, "phi": KET0}]}, "c.json: pairs[0].psi: "),
+        ("chsh", {"state": KET0}, "c.json: state: "),
+        ("noclone", {"pairs": [{"psi": {"dim": 1, "re": [1.0], "im": [0.0]}, "phi": KET0}]}, "c.json: pairs[0]: "),
     ],
     ids=[
         "chsh-array", "chsh-angles-number", "chsh-angle-array", "chsh-angle-string",
@@ -238,6 +247,7 @@ def with_observer(env_dim=2, **povm):
         "rate-overflow", "saturation-fraction", "aperture-inf", "aperture-overflow",
         "missing-activity", "pair-name-array", "state-re-object", "env-dim-string",
         "povm-name-array", "povm-file-number", "povm-name-repeated", "amplitude-nan",
+        "chsh-state-dim-2", "pair-dims-differ",
     ],
 )
 def test_malformed_config_exits_2_naming_the_field(capsys, tmp_path, command, doc, field):
@@ -292,6 +302,53 @@ def test_enumerate_table_exact(capsys, trace01):
     out = capsys.readouterr().out
     assert code == 0
     assert out == "max_states,count\n1,0\n2,2\n3,5\n"
+
+
+def random_trace_doc(rng: random.Random) -> dict:
+    """A trace of 1-4 records over integer or string symbols with zero, one or
+    two inputs, its alphabets declared or not."""
+    outputs = rng.choice([(0, 1), ("lo", "hi"), (1, "x", 0)])
+    inputs = rng.choice([None, ("a",), ("a", "b"), (1, 0)])
+    steps = [{"output": rng.choice(outputs)}]
+    for _ in range(rng.randint(0, 3)):
+        steps.append({"output": rng.choice(outputs)})
+        if inputs:
+            steps[-1]["input"] = rng.choice(inputs)
+    doc = {"steps": steps}
+    if rng.random() < 0.5:
+        doc["output_alphabet"] = list(outputs)
+    if inputs and rng.random() < 0.5:
+        doc["input_alphabet"] = list(inputs)
+    return doc
+
+
+def test_enumerate_rows_equal_the_documents_of_enumerated_machines(capsys, tmp_path):
+    rng = random.Random(1956)
+    for _ in range(40):
+        doc = random_trace_doc(rng)
+        bound = rng.randint(1, 3)
+        path = write_json(tmp_path / "t.json", doc)
+        code, report = run_report(capsys, ["enumerate", path, "--max-states", str(bound)])
+        trace, out_alpha, in_alpha = trace_from_dict(doc)
+        machines = enumerate_consistent(trace, bound, out_alpha, in_alpha)
+        assert code == 0
+        assert report["results"]["machines"] == [machine_to_dict(m) for m in machines], doc
+
+
+def test_all_consistent_replay_rejects_a_corrupted_row(capsys):
+    trace = Trace((0, 1, 1, 0), ("x", "y", "x"))
+    argv = ["enumerate", os.path.join(os.path.dirname(__file__), "golden", "trace.json"), "--max-states", "3"]
+    rows = run_report(capsys, argv)[1]["results"]["machines"]
+    assert rows and all(cli._row_reproduces(row, trace) for row in rows)
+    for row in rows:
+        relabelled = json.loads(json.dumps(row))
+        relabelled["lambda"][0] = 1 - relabelled["lambda"][0]
+        assert not cli._row_reproduces(relabelled, trace)
+        # send the first recorded step to a state whose output differs from the record's
+        wrong = next(s for s, out in enumerate(row["lambda"]) if out != trace.outputs[1])
+        redirected = json.loads(json.dumps(row))
+        redirected["delta"][0][row["inputs"].index("x")] = wrong
+        assert not cli._row_reproduces(redirected, trace)
 
 
 def test_enumerate_requires_max_states(trace01):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moorelimit.machines import Machine, Trace
 from moorelimit.observer import ObserverModel
@@ -239,6 +241,59 @@ def test_dumps_report_is_deterministic_and_newline_terminated():
     assert json.loads(text) == doc
     # insertion order is preserved, not sorted
     assert text.index('"b"') < text.index('"a"')
+
+
+def reference_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.text(alphabet=st.characters(codec="utf-8")),
+    st.sampled_from([1, True, 1.0, "1", 0, False, -0.0, 1e16, 5e-324, 2**64 + 1, "\u2028", "\x00\x1f\n", "ön ✓"]),
+)
+KEYS = st.one_of(st.text(max_size=3), st.integers(), st.floats(), st.booleans(), st.none())
+JSON_DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(doc=JSON_DOCS)
+@example(doc=[[1, 0], [True, False], [1.0, 0.0], ["1", "0"], (1, 0), [[1, 0], [True, False]]])
+@example(doc=[-0.0, 1e16, 5e-324, float("nan"), float("inf"), float("-inf"), 2**64 + 1, -(2**80)])
+@example(doc={"ön": "\u2028\x00\x7f\ud800", 1: [], 2.5: {}, True: (), None: "", float("nan"): [[]]})
+@example(doc=[])
+@example(doc={})
+@example(doc="top-level ✓")
+def test_dumps_report_matches_json_indent_2(doc):
+    assert dumps_report(doc) == reference_dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{(1, 2): 0}, object(), [1, object()], {"k": np.int64(1)}, np.int64(1), {"a": {1: {frozenset(): 1}}}],
+    ids=["tuple-key", "object", "object-in-list", "numpy-int-value", "numpy-int", "frozenset-key"],
+)
+def test_dumps_report_refuses_what_json_refuses(doc):
+    with pytest.raises(Exception) as refused:
+        reference_dumps(doc)
+    with pytest.raises(refused.type):
+        dumps_report(doc)
+
+
+def test_dumps_report_keeps_numpy_floats_as_json_does():
+    doc = {"x": np.float64(0.1), "y": [np.float64(-0.0), np.float64("nan")]}
+    assert dumps_report(doc) == reference_dumps(doc)
 
 
 def test_write_atomic_replaces_and_leaves_no_temp(tmp_path):
