@@ -15,7 +15,6 @@ from .machines import (
     Machine,
     Trace,
     WitnessPair,
-    canonical_encoding,
     canonical_form,
     consistent,
     consistent_encodings,

@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import math
-import re as _re
 import sys
 
 import numpy as np
@@ -96,11 +95,6 @@ _CANONICAL_ANGLES = {
 # shared plumbing
 
 
-def _parse_symbol(text: str):
-    """Alphabet items on the command line: digit strings become integers."""
-    return int(text) if _re.fullmatch(r"[+-]?\d+", text) else text
-
-
 def _count_at_least(minimum: int):
     """An argparse type for ``--samples``: an integer count of at least ``minimum``."""
 
@@ -113,30 +107,15 @@ def _count_at_least(minimum: int):
     return count
 
 
-def _parse_alphabet(text: str | None):
-    if text is None:
-        return None
-    items = [t.strip() for t in text.split(",") if t.strip() != ""]
-    if not items:
-        raise ParseError("alphabet flag given but empty")
-    return tuple(_parse_symbol(t) for t in items)
-
-
-def _load_trace(args) -> tuple[Trace, tuple | None, tuple | None, dict]:
-    doc = load_json(args.trace)
-    trace, doc_out, doc_in = trace_from_dict(doc, where=str(args.trace))
-    out_alpha = _parse_alphabet(args.output_alphabet) or (
-        tuple(doc_out) if doc_out else None
-    )
-    in_alpha = _parse_alphabet(args.input_alphabet) or (
-        tuple(doc_in) if doc_in else None
-    )
+def _load_trace(args) -> tuple[Trace, list | None, list | None, dict]:
+    trace, out_alpha, in_alpha = trace_from_dict(load_json(args.trace), where=str(args.trace))
+    out_alpha, in_alpha = out_alpha or None, in_alpha or None  # an empty array declares nothing
     echo = {
         "trace": str(args.trace),
         "outputs": list(trace.outputs),
         "inputs": list(trace.inputs) if trace.inputs else None,
-        "output_alphabet": list(out_alpha) if out_alpha else None,
-        "input_alphabet": list(in_alpha) if in_alpha else None,
+        "output_alphabet": out_alpha,
+        "input_alphabet": in_alpha,
     }
     return trace, out_alpha, in_alpha, echo
 
@@ -165,7 +144,7 @@ def _finish(args, command: str, inputs: dict, results: dict, checks: dict, table
         report = {
             "command": command,
             "version": __version__,
-            "seed": args.seed,
+            "seed": getattr(args, "seed", DEFAULT_SEED),
             "inputs": inputs,
             "results": results,
             "checks": checks,
@@ -611,19 +590,14 @@ def cmd_geiger(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for any sampling mode")
     common.add_argument(
         "--format", choices=("report", "table"), default="report", help="output format"
     )
     common.add_argument("--out", default=None, help="write output to PATH (atomic)")
 
-    alphabets = argparse.ArgumentParser(add_help=False)
-    alphabets.add_argument(
-        "--output-alphabet", default=None, help="comma-separated symbols (digits become ints)"
-    )
-    alphabets.add_argument(
-        "--input-alphabet", default=None, help="comma-separated symbols (digits become ints)"
-    )
+    # only the commands that draw random numbers take a seed; the others echo DEFAULT_SEED
+    sampling = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampling.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the sampling mode")
 
     parser = argparse.ArgumentParser(
         prog="moorelimit",
@@ -632,11 +606,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("witness", parents=[common, alphabets], help="two machines one trace cannot separate")
+    p = sub.add_parser("witness", parents=[common], help="two machines one trace cannot separate")
     p.add_argument("trace", help="trace JSON file")
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("enumerate", parents=[common, alphabets], help="all consistent machines up to a state bound")
+    p = sub.add_parser("enumerate", parents=[common], help="all consistent machines up to a state bound")
     p.add_argument("trace", help="trace JSON file")
     p.add_argument("--max-states", type=int, required=True, help="state bound N >= 1")
     p.set_defaults(func=cmd_enumerate)
@@ -650,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("machine", help="machine JSON file")
     p.set_defaults(func=cmd_minimize)
 
-    p = sub.add_parser("chsh", parents=[common], help="CHSH value vs the LHV bound")
+    p = sub.add_parser("chsh", parents=[sampling], help="CHSH value vs the LHV bound")
     p.add_argument("--config", default=None, help="JSON with optional 'state' and 'angles'")
     p.add_argument("--samples", type=_count_at_least(0), default=None, help="finite-sample estimates per setting")
     p.add_argument("--tol", type=float, default=1e-9, help="tolerance for checks")
@@ -660,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12, help="tolerance for checks")
     p.set_defaults(func=cmd_ks)
 
-    p = sub.add_parser("noclone", parents=[common], help="no-cloning gaps and the record-level analogue")
+    p = sub.add_parser("noclone", parents=[sampling], help="no-cloning gaps and the record-level analogue")
     p.add_argument("--config", default=None, help="JSON with a 'pairs' array of state pairs")
     p.add_argument("--samples", type=_count_at_least(1), default=100, help="number of random pairs")
     p.add_argument("--tol", type=float, default=1e-12, help="tolerance for checks")
@@ -671,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="tolerance for checks")
     p.set_defaults(func=cmd_exchange)
 
-    p = sub.add_parser("geiger", parents=[common], help="deterministic counter outcomes per source")
+    p = sub.add_parser("geiger", parents=[sampling], help="deterministic counter outcomes per source")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector)")
     p.add_argument("--samples", type=_count_at_least(0), default=None, help="Poisson-sampled counts per source")
     p.set_defaults(func=cmd_geiger)

@@ -34,11 +34,17 @@ class DegenerateAlphabetError(ValueError):
     """The output alphabet admits only one behavior class, so no witness exists."""
 
 
+def _quoted(value, limit: int = 80) -> str:
+    """``repr(value)`` for an error message, cut to ``limit`` characters ending in ``...``."""
+    text = repr(value)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _unique(symbols: Iterable[Symbol], what: str) -> tuple[Symbol, ...]:
     out: list[Symbol] = []
     for sym in symbols:
         if sym in out:
-            raise ValueError(f"duplicate symbol {sym!r} in {what}")
+            raise ValueError(f"duplicate symbol {_quoted(sym)} in {what}")
         out.append(sym)
     if not out:
         raise ValueError(f"{what} must be nonempty")
@@ -73,7 +79,7 @@ class Machine:
         object.__setattr__(self, "output", tuple(self.output))
         n = self.state_count
         if not _is_int(n) or n < 1:
-            raise ValueError(f"state_count must be an integer >= 1, got {n!r}")
+            raise ValueError(f"state_count must be an integer >= 1, got {_quoted(n)}")
         if len(self.transition) != n:
             raise ValueError("transition table must have one row per state")
         for s, row in enumerate(self.transition):
@@ -81,14 +87,14 @@ class Machine:
                 raise ValueError(f"transition row {s} must cover the input alphabet")
             for t in row:
                 if not (_is_int(t) and 0 <= t < n):
-                    raise ValueError(f"transition target {t!r} out of range in state {s}")
+                    raise ValueError(f"transition target {_quoted(t)} out of range in state {s}")
         if len(self.output) != n:
             raise ValueError("output map must cover every state")
         for s, sym in enumerate(self.output):
             if sym not in self.output_alphabet:
-                raise AlphabetError(f"output {sym!r} of state {s} not in output alphabet")
+                raise AlphabetError(f"output {_quoted(sym)} of state {s} not in output alphabet")
         if not (_is_int(self.initial) and 0 <= self.initial < n):
-            raise ValueError(f"initial state {self.initial!r} out of range")
+            raise ValueError(f"initial state {_quoted(self.initial)} out of range")
 
     @cached_property
     def _input_index(self) -> dict[Symbol, int]:
@@ -159,7 +165,9 @@ def run(machine: Machine, word: Word) -> list[Symbol]:
     for sym in word:
         i = index.get(sym)
         if i is None:
-            raise AlphabetError(f"input symbol {sym!r} not in alphabet {machine.input_alphabet}")
+            raise AlphabetError(
+                f"input symbol {_quoted(sym)} not in alphabet {_quoted(machine.input_alphabet)}"
+            )
         state = machine.transition[state][i]
         outs.append(machine.output[state])
     return outs
@@ -174,18 +182,20 @@ def consistent(machine: Machine, trace: Trace) -> bool:
     """True iff the machine reproduces the trace outputs from its initial state."""
     for sym in trace.outputs:
         if sym not in machine._output_index:
-            raise AlphabetError(f"trace output {sym!r} not in alphabet {machine.output_alphabet}")
+            raise AlphabetError(
+                f"trace output {_quoted(sym)} not in alphabet {_quoted(machine.output_alphabet)}"
+            )
     return run(machine, trace.inputs) == list(trace.outputs)
 
 
 def _require_shared_alphabets(a: Machine, b: Machine) -> None:
     if set(a.input_alphabet) != set(b.input_alphabet):
         raise AlphabetError(
-            f"input alphabets differ: {a.input_alphabet} vs {b.input_alphabet}"
+            f"input alphabets differ: {_quoted(a.input_alphabet)} vs {_quoted(b.input_alphabet)}"
         )
     if set(a.output_alphabet) != set(b.output_alphabet):
         raise AlphabetError(
-            f"output alphabets differ: {a.output_alphabet} vs {b.output_alphabet}"
+            f"output alphabets differ: {_quoted(a.output_alphabet)} vs {_quoted(b.output_alphabet)}"
         )
 
 
@@ -250,18 +260,6 @@ def canonical_form(machine: Machine) -> Machine:
     )
 
 
-def canonical_encoding(machine: Machine) -> tuple[int, ...]:
-    """Integer tuple keying a machine up to renaming of its output symbols' spelling.
-
-    Equal encodings of canonical forms mean isomorphic machines.  The layout is
-    that of the encodings :mod:`moorelimit.kernels` yields, already in order.
-    """
-    out_index = machine._output_index
-    flat = tuple(t for row in machine.transition for t in row)
-    lam = tuple(out_index[sym] for sym in machine.output)
-    return (machine.state_count,) + flat + lam
-
-
 def minimize(machine: Machine) -> Machine:
     """Smallest machine equivalent to ``machine``, in canonical form.
 
@@ -308,10 +306,10 @@ def _resolve_alphabets(
     inputs = _unique(input_alphabet, "input alphabet")
     for sym in trace.outputs:
         if sym not in outputs:
-            raise AlphabetError(f"trace output {sym!r} not in alphabet {outputs}")
+            raise AlphabetError(f"trace output {_quoted(sym)} not in alphabet {_quoted(outputs)}")
     for sym in trace.inputs:
         if sym not in inputs:
-            raise AlphabetError(f"trace input {sym!r} not in alphabet {inputs}")
+            raise AlphabetError(f"trace input {_quoted(sym)} not in alphabet {_quoted(inputs)}")
     return outputs, inputs
 
 

@@ -33,7 +33,6 @@ from .quantum import (
     PAULI_Y,
     PAULI_Z,
     StateVector,
-    TAU_NUM,
     overlap,
 )
 
@@ -152,46 +151,6 @@ def _pauli_product(label: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MerminSquare:
-    """3x3 grid of two-qubit +-1 observables, commuting along rows and columns."""
-
-    labels: tuple[tuple[str, str, str], ...]
-    operators: tuple[tuple[np.ndarray, ...], ...]
-
-    def __post_init__(self):
-        ops = tuple(tuple(np.asarray(m, dtype=complex) for m in row) for row in self.operators)
-        if len(ops) != 3 or any(len(row) != 3 for row in ops):
-            raise ValueError("the square is 3x3")
-        eye = np.eye(4)
-        for row in ops:
-            for m in row:
-                if m.shape != (4, 4):
-                    raise ValueError("cells are 4x4 operators")
-                if np.max(np.abs(m @ m - eye)) > TAU_NUM:
-                    raise ValueError("every cell must square to the identity")
-        for line in self._lines(ops):
-            for m1, m2 in itertools.combinations(line, 2):
-                if np.max(np.abs(m1 @ m2 - m2 @ m1)) > TAU_NUM:
-                    raise ValueError("rows and columns must commute")
-        object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "labels", tuple(tuple(row) for row in self.labels))
-
-    @staticmethod
-    def _lines(ops):
-        rows = [tuple(row) for row in ops]
-        cols = [tuple(ops[r][c] for r in range(3)) for c in range(3)]
-        return rows + cols
-
-
-def peres_mermin_square() -> MerminSquare:
-    """The standard magic square of two-qubit Pauli products."""
-    operators = tuple(
-        tuple(_pauli_product(label) for label in row) for row in _SQUARE_LABELS
-    )
-    return MerminSquare(labels=_SQUARE_LABELS, operators=operators)
-
-
-@dataclass(frozen=True)
 class KochenSpeckerReport:
     """Operator identities of the magic square versus classical +-1 assignments."""
 
@@ -216,32 +175,25 @@ def _product_sign(ops) -> tuple[int, float]:
     return (1, dev_plus) if dev_plus <= dev_minus else (-1, dev_minus)
 
 
-def kochen_specker_check(square: MerminSquare | None = None) -> KochenSpeckerReport:
-    """Verify the square's operator identities and search all 512 classical assignments.
+def kochen_specker_check() -> KochenSpeckerReport:
+    """Verify the magic square's operator identities and search all 512 classical assignments.
 
     A classical assignment puts +-1 in each cell and must reproduce every row
     and column product sign; the parity obstruction (all nine values multiply
     to +1 along rows but -1 along columns) leaves zero of the 512.
     """
-    if square is None:
-        square = peres_mermin_square()
-    ops = square.operators
+    ops = [[_pauli_product(label) for label in row] for row in _SQUARE_LABELS]
+    lines = ops + [[ops[r][c] for r in range(3)] for c in range(3)]  # three rows, then three columns
     max_comm = 0.0
-    for line in MerminSquare._lines(ops):
+    signs = []
+    max_dev = 0.0
+    for line in lines:
         for m1, m2 in itertools.combinations(line, 2):
             max_comm = max(max_comm, float(np.max(np.abs(m1 @ m2 - m2 @ m1))))
-
-    row_signs = []
-    col_signs = []
-    max_dev = 0.0
-    for r in range(3):
-        sign, dev = _product_sign([ops[r][0], ops[r][1], ops[r][2]])
-        row_signs.append(sign)
+        sign, dev = _product_sign(line)
+        signs.append(sign)
         max_dev = max(max_dev, dev)
-    for c in range(3):
-        sign, dev = _product_sign([ops[0][c], ops[1][c], ops[2][c]])
-        col_signs.append(sign)
-        max_dev = max(max_dev, dev)
+    row_signs, col_signs = tuple(signs[:3]), tuple(signs[3:])
 
     satisfying = 0
     for cells in itertools.product((1, -1), repeat=9):
@@ -252,10 +204,10 @@ def kochen_specker_check(square: MerminSquare | None = None) -> KochenSpeckerRep
             satisfying += 1
 
     return KochenSpeckerReport(
-        labels=square.labels,
+        labels=_SQUARE_LABELS,
         max_commutator=max_comm,
-        row_signs=tuple(row_signs),
-        col_signs=tuple(col_signs),
+        row_signs=row_signs,
+        col_signs=col_signs,
         max_product_deviation=max_dev,
         satisfying_assignments=satisfying,
         assignment_count=2 ** 9,

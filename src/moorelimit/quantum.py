@@ -160,9 +160,6 @@ class OutcomeDistribution:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "probabilities", probs)
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.labels, self.probabilities))
-
 
 def born_distribution(rho: DensityOperator, povm: Povm) -> OutcomeDistribution:
     """Outcome probabilities p_i = trace(rho E_i).
@@ -199,27 +196,6 @@ def tensor(a, b):
     mat_a = a.matrix if isinstance(a, (DensityOperator, Effect)) else np.asarray(a)
     mat_b = b.matrix if isinstance(b, (DensityOperator, Effect)) else np.asarray(b)
     return np.kron(mat_a, mat_b)
-
-
-def partial_trace(
-    rho: DensityOperator, dims: tuple[int, int], keep: Union[str, int]
-) -> DensityOperator:
-    """Reduced operator on one factor of a bipartite state.
-
-    ``dims`` is (d_A, d_B) with d_A the slow index; ``keep`` selects the factor
-    ("A"/0 or "B"/1).  Trace-preserving, and inverts ``tensor`` on products.
-    """
-    d_a, d_b = dims
-    if rho.dim != d_a * d_b:
-        raise DimensionError(f"cannot factor dim {rho.dim} as {d_a} x {d_b}")
-    blocks = rho.matrix.reshape(d_a, d_b, d_a, d_b)
-    if keep in ("A", 0):
-        reduced = np.einsum("ijkj->ik", blocks)
-    elif keep in ("B", 1):
-        reduced = np.einsum("ijil->jl", blocks)
-    else:
-        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-    return DensityOperator(reduced)
 
 
 def overlap(psi: StateVector, phi: StateVector) -> complex:

@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .machines import Machine, Trace
+from .machines import Machine, Trace, _quoted
 from .observer import DetectorConfig, ObserverModel, SourceConfig
 from .quantum import DensityOperator, Effect, Povm, StateVector
 
@@ -46,12 +46,6 @@ def _symbols(values, where: str) -> list:
     for j, sym in enumerate(values):
         _symbol(sym, f"{where}[{j}]")
     return values
-
-
-def _quoted(value, limit: int = 80) -> str:
-    """``repr(value)`` for an error message, cut to ``limit`` characters ending in ``...``."""
-    text = repr(value)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
 def _symbol(sym, where: str):
@@ -144,13 +138,6 @@ def machine_from_dict(doc: dict, where: str = "machine") -> Machine:
     ))
 
 
-def trace_to_dict(trace: Trace) -> dict:
-    steps: list[dict] = [{"output": trace.outputs[0]}]
-    for out, inp in zip(trace.outputs[1:], trace.inputs):
-        steps.append({"output": out, "input": inp})
-    return {"steps": steps}
-
-
 def trace_from_dict(doc: dict, where: str = "trace") -> tuple[Trace, list | None, list | None]:
     """Parse a trace document; returns (trace, output_alphabet, input_alphabet).
 
@@ -183,15 +170,6 @@ def trace_from_dict(doc: dict, where: str = "trace") -> tuple[Trace, list | None
     return trace, *alphabets
 
 
-def matrix_to_dict(matrix: np.ndarray) -> dict:
-    m = np.asarray(matrix, dtype=complex)
-    return {
-        "dim": m.shape[0],
-        "re": [[float(x.real) for x in row] for row in m],
-        "im": [[float(x.imag) for x in row] for row in m],
-    }
-
-
 def matrix_from_dict(doc: dict, where: str = "operator") -> np.ndarray:
     dim = _integer(_require(doc, "dim", where), f"{where}.dim")
     re = _floats(_require(doc, "re", where), f"{where}.re")
@@ -199,14 +177,6 @@ def matrix_from_dict(doc: dict, where: str = "operator") -> np.ndarray:
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ParseError(f"{where}: re/im must be {dim}x{dim} row-major arrays")
     return re + 1j * im
-
-
-def state_to_dict(psi: StateVector) -> dict:
-    return {
-        "dim": psi.dim,
-        "re": [float(x.real) for x in psi.amplitudes],
-        "im": [float(x.imag) for x in psi.amplitudes],
-    }
 
 
 def state_from_dict(doc: dict, where: str = "state") -> StateVector:
@@ -221,14 +191,6 @@ def state_from_dict(doc: dict, where: str = "state") -> StateVector:
 def density_from_dict(doc: dict, where: str = "density") -> DensityOperator:
     matrix = matrix_from_dict(doc, where)
     return _checked(where, lambda: DensityOperator(matrix))
-
-
-def povm_to_dict(povm: Povm) -> dict:
-    return {
-        "dim": povm.dim,
-        "labels": list(povm.labels),
-        "effects": [matrix_to_dict(e.matrix) for e in povm.effects],
-    }
 
 
 def povm_from_dict(doc: dict, where: str = "povm") -> Povm:

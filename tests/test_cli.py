@@ -75,8 +75,8 @@ def test_report_envelope_fields(capsys, trace01):
     assert report["seed"] == cli.DEFAULT_SEED
 
 
-def test_seed_is_echoed(capsys, trace01):
-    _, report = run_report(capsys, ["witness", trace01, "--seed", "7"])
+def test_seed_is_echoed(capsys):
+    _, report = run_report(capsys, ["chsh", "--seed", "7"])
     assert report["seed"] == 7
 
 
@@ -111,10 +111,10 @@ def test_witness_table(capsys, trace01):
 
 
 def test_witness_inline_alphabet_flag(capsys, tmp_path):
-    path = write_json(tmp_path / "bare.json", {"steps": [{"output": 3}, {"output": 3}]})
-    code, report = run_report(
-        capsys, ["witness", path, "--output-alphabet", "3,7"]
+    path = write_json(
+        tmp_path / "bare.json", {"steps": [{"output": 3}, {"output": 3}], "output_alphabet": [3, 7]}
     )
+    code, report = run_report(capsys, ["witness", path])
     assert code == 0
     assert report["inputs"]["output_alphabet"] == [3, 7]
 
@@ -141,6 +141,9 @@ def test_invalid_json_exits_2(capsys, tmp_path):
 
 
 NESTED_LIST = json.loads("[" * 400 + "]" * 400)  # shallow enough for json under pytest's stack
+MACHINE_DOC = {
+    "states": 2, "inputs": ["a"], "outputs": [0, 1], "initial": 0, "delta": [[1], [0]], "lambda": [0, 1],
+}
 
 
 @pytest.mark.parametrize(
@@ -156,8 +159,16 @@ NESTED_LIST = json.loads("[" * 400 + "]" * 400)  # shallow enough for json under
         ("witness", "[" * 100_000),
         ("enumerate", {"steps": [{"output": NESTED_LIST}]}),
         ("witness", {"steps": [{"output": 0}, {"output": 1, "input": ["x" * 5000]}]}),
+        ("minimize", {**MACHINE_DOC, "states": "s" * 5000}),
+        ("minimize", {**MACHINE_DOC, "delta": [[[0] * 3000], [0]]}),
+        ("minimize", {**MACHINE_DOC, "initial": "i" * 5000}),
+        ("minimize", {**MACHINE_DOC, "lambda": [0, "l" * 5000]}),
+        ("witness", {"steps": [{"output": 0}], "output_alphabet": ["o" * 4000]}),
     ],
-    ids=["list-symbol", "object-symbol", "bool-state", "deeply-nested", "nested-symbol", "long-symbol"],
+    ids=[
+        "list-symbol", "object-symbol", "bool-state", "deeply-nested", "nested-symbol", "long-symbol",
+        "long-states", "long-delta-target", "long-initial", "long-lambda", "long-alphabet",
+    ],
 )
 def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, command, doc):
     argv = [command, write_json(tmp_path / "doc.json", doc)]
@@ -278,6 +289,30 @@ def test_tolerance_defaults_per_command():
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([command, *operands, "--tol", "0.5"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["witness", "t.json"], "--seed"),
+        (["enumerate", "t.json", "--max-states", "2"], "--seed"),
+        (["distinguish", "a.json", "b.json"], "--seed"),
+        (["minimize", "m.json"], "--seed"),
+        (["ks"], "--seed"),
+        (["exchange"], "--seed"),
+        (["witness", "t.json"], "--output-alphabet"),
+        (["witness", "t.json"], "--input-alphabet"),
+        (["enumerate", "t.json", "--max-states", "2"], "--output-alphabet"),
+        (["enumerate", "t.json", "--max-states", "2"], "--input-alphabet"),
+    ],
+)
+def test_options_a_command_does_not_use_are_rejected_at_parsing(argv, flag):
+    # only chsh, noclone and geiger sample, and a trace file declares its own alphabets
+    parser = cli.build_parser()
+    assert flag.lstrip("-").replace("-", "_") not in vars(parser.parse_args(argv))
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([*argv, flag, "1"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,9 @@ import random
 import pytest
 
 from moorelimit import (
-    Machine,
     Trace,
-    canonical_encoding,
     consistent,
+    consistent_encodings,
     enumerate_consistent,
     equivalent,
     minimize,
@@ -50,7 +49,8 @@ def test_bound_must_be_positive():
 def test_results_are_canonical_sorted_and_consistent():
     trace = Trace((0, 1, 1, 0))
     machines = enumerate_consistent(trace, 3)
-    encodings = [canonical_encoding(m) for m in machines]
+    _, _, encodings = consistent_encodings(trace, 3)
+    assert len(encodings) == len(machines)
     assert encodings == sorted(encodings)
     assert len(set(encodings)) == len(encodings)
     for m in machines:

@@ -9,7 +9,6 @@ from moorelimit import (
     Experiment,
     Machine,
     Trace,
-    canonical_encoding,
     canonical_form,
     consistent,
     distinguishing_experiment,
@@ -276,11 +275,6 @@ def test_canonical_form_idempotent_on_random_machines():
         m = random_machine(rng)
         c = canonical_form(m)
         assert canonical_form(c) == c
-        assert canonical_encoding(c) == canonical_encoding(canonical_form(c))
-
-
-def test_canonical_encoding_distinguishes_outputs():
-    assert canonical_encoding(constant(0)) != canonical_encoding(constant(1))
 
 
 # ---------------------------------------------------------------------------

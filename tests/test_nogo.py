@@ -8,7 +8,6 @@ from moorelimit.machines import Trace
 from moorelimit.nogo import (
     ChshSetting,
     LhvStrategy,
-    MerminSquare,
     chsh_value,
     clone_inference_report,
     correlator,
@@ -16,12 +15,12 @@ from moorelimit.nogo import (
     lhv_chsh_bound,
     measurement_axis,
     no_cloning_gap,
-    peres_mermin_square,
     singlet,
 )
 from moorelimit.quantum import (
     DensityOperator,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     StateVector,
     basis_state,
@@ -188,24 +187,12 @@ def test_relaxed_sign_pattern_admits_assignments():
 
 
 def test_square_labels():
-    square = peres_mermin_square()
-    assert square.labels == (("XI", "IX", "XX"), ("IY", "YI", "YY"), ("XY", "YX", "ZZ"))
-
-
-def test_square_rejects_non_involutory_cell():
-    square = peres_mermin_square()
-    ops = [list(row) for row in square.operators]
-    ops[0][0] = 0.5 * ops[0][0]
-    with pytest.raises(ValueError):
-        MerminSquare(labels=square.labels, operators=tuple(tuple(r) for r in ops))
-
-
-def test_square_rejects_non_commuting_line():
-    square = peres_mermin_square()
-    ops = [list(row) for row in square.operators]
-    ops[2][2] = np.kron(PAULI_X, PAULI_Z)  # breaks commutation inside row 2
-    with pytest.raises(ValueError):
-        MerminSquare(labels=square.labels, operators=tuple(tuple(r) for r in ops))
+    labels = kochen_specker_check().labels
+    assert labels == (("XI", "IX", "XX"), ("IY", "YI", "YY"), ("XY", "YX", "ZZ"))
+    pauli = {"I": np.eye(2), "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+    for label in (label for row in labels for label in row):
+        cell = np.kron(pauli[label[0]], pauli[label[1]])
+        assert np.allclose(cell @ cell, np.eye(4), atol=1e-12)  # every observable is +-1 valued
 
 
 # ---------------------------------------------------------------------------

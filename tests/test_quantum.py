@@ -10,12 +10,10 @@ from moorelimit.quantum import (
     PAULI_Z,
     Povm,
     StateVector,
-    TAU_NUM,
     basis_povm,
     basis_state,
     born_distribution,
     overlap,
-    partial_trace,
     random_density,
     random_state,
     tensor,
@@ -155,14 +153,8 @@ def test_born_valid_over_random_states_and_povms():
         assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_outcome_distribution_as_dict():
-    rho = DensityOperator.from_state(basis_state(2, 1))
-    dist = born_distribution(rho, basis_povm(2, labels=("no", "yes")))
-    assert dist.as_dict() == {"no": 0.0, "yes": 1.0}
-
-
 # ---------------------------------------------------------------------------
-# tensor / partial trace
+# tensor
 
 
 def test_tensor_state_ordering():
@@ -179,32 +171,6 @@ def test_tensor_preserves_wrapper_types():
     assert joint.dim == 6
     raw = tensor(PAULI_X, PAULI_Z)
     assert isinstance(raw, np.ndarray)
-
-
-def test_partial_trace_inverts_tensor():
-    rng = np.random.default_rng(5)
-    for d_a, d_b in ((2, 2), (2, 3), (3, 2)):
-        rho = random_density(d_a, rng)
-        sigma = random_density(d_b, rng)
-        joint = tensor(rho, sigma)
-        back_a = partial_trace(joint, (d_a, d_b), "A")
-        back_b = partial_trace(joint, (d_a, d_b), "B")
-        assert np.allclose(back_a.matrix, rho.matrix, atol=1e-12)
-        assert np.allclose(back_b.matrix, sigma.matrix, atol=1e-12)
-
-
-def test_partial_trace_of_entangled_state_is_mixed():
-    bell = StateVector(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
-    reduced = partial_trace(DensityOperator.from_state(bell), (2, 2), "A")
-    assert np.allclose(reduced.matrix, np.eye(2) / 2.0)
-
-
-def test_partial_trace_rejects_bad_factorization():
-    rho = DensityOperator(np.eye(4) / 4.0)
-    with pytest.raises(DimensionError):
-        partial_trace(rho, (3, 2), "A")
-    with pytest.raises(ValueError):
-        partial_trace(rho, (2, 2), "C")
 
 
 def test_paulis_square_to_identity():
