@@ -107,17 +107,24 @@ def _count_at_least(minimum: int):
     return count
 
 
-def _load_trace(args) -> tuple[Trace, list | None, list | None, dict]:
-    trace, out_alpha, in_alpha = trace_from_dict(load_json(args.trace), where=str(args.trace))
-    out_alpha, in_alpha = out_alpha or None, in_alpha or None  # an empty array declares nothing
+def _tolerance(text: str) -> float:
+    """An argparse type for ``--tol``: a finite number of at least 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _load_trace(args) -> tuple[Trace, dict]:
+    trace = trace_from_dict(load_json(args.trace), where=str(args.trace))
     echo = {
         "trace": str(args.trace),
         "outputs": list(trace.outputs),
         "inputs": list(trace.inputs) if trace.inputs else None,
-        "output_alphabet": out_alpha,
-        "input_alphabet": in_alpha,
+        "output_alphabet": trace.output_alphabet,
+        "input_alphabet": trace.input_alphabet,
     }
-    return trace, out_alpha, in_alpha, echo
+    return trace, echo
 
 
 def _load_machine(path):
@@ -185,8 +192,8 @@ def _witness_block(pair, outputs_a, outputs_b) -> dict:
 
 
 def cmd_witness(args) -> int:
-    trace, out_alpha, in_alpha, echo = _load_trace(args)
-    pair = witness_moore(trace, out_alpha, in_alpha)
+    trace, echo = _load_trace(args)
+    pair = witness_moore(trace)
     outputs_a = run_experiment(pair.machine_a, pair.separating)
     outputs_b = run_experiment(pair.machine_b, pair.separating)
     results = _witness_block(pair, outputs_a, outputs_b)
@@ -216,9 +223,10 @@ def _row_reproduces(row: dict, trace: Trace) -> bool:
 def cmd_enumerate(args) -> int:
     if args.max_states < 1:
         raise ParseError(f"--max-states must be at least 1, got {args.max_states}")
-    trace, out_alpha, in_alpha, echo = _load_trace(args)
+    trace, echo = _load_trace(args)
     echo["max_states"] = args.max_states
-    outputs, inputs, encodings = consistent_encodings(trace, args.max_states, out_alpha, in_alpha)
+    encodings = consistent_encodings(trace, args.max_states)
+    outputs, inputs = trace.alphabets
     rows = [encoding_to_dict(enc, inputs, outputs) for enc in encodings]
     counts = [
         {"max_states": bound, "count": sum(enc[0] <= bound for enc in encodings)}
@@ -627,22 +635,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", parents=[sampling], help="CHSH value vs the LHV bound")
     p.add_argument("--config", default=None, help="JSON with optional 'state' and 'angles'")
     p.add_argument("--samples", type=_count_at_least(0), default=None, help="finite-sample estimates per setting")
-    p.add_argument("--tol", type=float, default=1e-9, help="tolerance for checks")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for checks")
     p.set_defaults(func=cmd_chsh)
 
     p = sub.add_parser("ks", parents=[common], help="Peres-Mermin square contextuality check")
-    p.add_argument("--tol", type=float, default=1e-12, help="tolerance for checks")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="tolerance for checks")
     p.set_defaults(func=cmd_ks)
 
     p = sub.add_parser("noclone", parents=[sampling], help="no-cloning gaps and the record-level analogue")
     p.add_argument("--config", default=None, help="JSON with a 'pairs' array of state pairs")
     p.add_argument("--samples", type=_count_at_least(1), default=100, help="number of random pairs")
-    p.add_argument("--tol", type=float, default=1e-12, help="tolerance for checks")
+    p.add_argument("--tol", type=_tolerance, default=1e-12, help="tolerance for checks")
     p.set_defaults(func=cmd_noclone)
 
     p = sub.add_parser("exchange", parents=[common], help="records invariant under source exchange")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector, observer)")
-    p.add_argument("--tol", type=float, default=1e-9, help="tolerance for checks")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for checks")
     p.set_defaults(func=cmd_exchange)
 
     p = sub.add_parser("geiger", parents=[sampling], help="deterministic counter outcomes per source")

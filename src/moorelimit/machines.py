@@ -13,7 +13,7 @@ with a minimal separating experiment.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
@@ -112,10 +112,19 @@ class Trace:
     ``outputs`` holds the N recorded symbols; ``inputs`` holds the N-1 symbols
     applied between consecutive records.  Omitting ``inputs`` models autonomous
     observation: every step uses the single trivial input ``DEFAULT_INPUT``.
+
+    ``output_alphabet`` and ``input_alphabet`` are optional declarations (None
+    declares nothing); a declared one lists each symbol once and covers every
+    recorded symbol.  ``alphabets`` is the resolved ``(outputs, inputs)`` pair
+    the record is read over: a declaration, else the recorded symbols in
+    first-occurrence order (``(DEFAULT_INPUT,)`` for a record with no inputs).
     """
 
     outputs: tuple[Symbol, ...]
     inputs: tuple[Symbol, ...] | None = None
+    output_alphabet: tuple[Symbol, ...] | None = None
+    input_alphabet: tuple[Symbol, ...] | None = None
+    alphabets: tuple[tuple[Symbol, ...], tuple[Symbol, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outputs = tuple(self.outputs)
@@ -131,6 +140,23 @@ class Trace:
             )
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "inputs", inputs)
+        resolved = []
+        for kind, recorded, declared, default in (
+            ("output", outputs, self.output_alphabet, ()),
+            ("input", inputs, self.input_alphabet, (DEFAULT_INPUT,)),
+        ):
+            if declared is None:
+                alphabet = tuple(dict.fromkeys(recorded)) or default
+            else:
+                alphabet = _unique(declared, f"{kind} alphabet")
+                object.__setattr__(self, f"{kind}_alphabet", alphabet)
+                for sym in recorded:
+                    if sym not in alphabet:
+                        raise AlphabetError(
+                            f"trace {kind} {_quoted(sym)} not in alphabet {_quoted(alphabet)}"
+                        )
+            resolved.append(alphabet)
+        object.__setattr__(self, "alphabets", tuple(resolved))
 
     def __len__(self) -> int:
         return len(self.outputs)
@@ -292,39 +318,14 @@ def minimize(machine: Machine) -> Machine:
     return canonical_form(quotient)
 
 
-def _resolve_alphabets(
-    trace: Trace,
-    output_alphabet: Sequence[Symbol] | None,
-    input_alphabet: Sequence[Symbol] | None,
-) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...]]:
-    """Alphabets covering the trace, defaulting to first-occurrence order."""
-    if output_alphabet is None:
-        output_alphabet = list(dict.fromkeys(trace.outputs))
-    if input_alphabet is None:
-        input_alphabet = list(dict.fromkeys(trace.inputs)) or [DEFAULT_INPUT]
-    outputs = _unique(output_alphabet, "output alphabet")
-    inputs = _unique(input_alphabet, "input alphabet")
-    for sym in trace.outputs:
-        if sym not in outputs:
-            raise AlphabetError(f"trace output {_quoted(sym)} not in alphabet {_quoted(outputs)}")
-    for sym in trace.inputs:
-        if sym not in inputs:
-            raise AlphabetError(f"trace input {_quoted(sym)} not in alphabet {_quoted(inputs)}")
-    return outputs, inputs
-
-
-def trace_to_fsm(
-    trace: Trace,
-    output_alphabet: Sequence[Symbol] | None = None,
-    input_alphabet: Sequence[Symbol] | None = None,
-) -> Machine:
+def trace_to_fsm(trace: Trace) -> Machine:
     """The N-state chain machine a trace literally encodes.
 
     State i emits the i-th recorded output and steps to state i+1 under the
     recorded input; all unrecorded transitions self-loop (totality with the
     least commitment), as does the final state.  Always trace-consistent.
     """
-    outputs, inputs = _resolve_alphabets(trace, output_alphabet, input_alphabet)
+    outputs, inputs = trace.alphabets
     n = len(trace)
     input_index = {sym: i for i, sym in enumerate(inputs)}
     transition = []
@@ -343,11 +344,7 @@ def trace_to_fsm(
     )
 
 
-def witness_moore(
-    trace: Trace,
-    output_alphabet: Sequence[Symbol] | None = None,
-    input_alphabet: Sequence[Symbol] | None = None,
-) -> WitnessPair:
+def witness_moore(trace: Trace) -> WitnessPair:
     """Two non-equivalent machines that both reproduce the trace, plus a separator.
 
     Machine A is the minimized trace chain (it repeats the final record
@@ -357,13 +354,13 @@ def witness_moore(
     recorded past and provably diverges in some future.  Requires an output
     alphabet of size >= 2.
     """
-    outputs, inputs = _resolve_alphabets(trace, output_alphabet, input_alphabet)
+    outputs, inputs = trace.alphabets
     if len(outputs) < 2:
         raise DegenerateAlphabetError(
             "all machines over a one-symbol output alphabet are equivalent; "
             "a witness pair needs an output alphabet of size >= 2"
         )
-    chain = trace_to_fsm(trace, outputs, inputs)
+    chain = trace_to_fsm(trace)
     machine_a = minimize(chain)
 
     divergent = next(sym for sym in outputs if sym != trace.outputs[-1])
@@ -387,38 +384,27 @@ def witness_moore(
     return WitnessPair(machine_a=machine_a, machine_b=machine_b, separating=separating)
 
 
-def consistent_encodings(
-    trace: Trace,
-    max_states: int,
-    output_alphabet: Sequence[Symbol] | None = None,
-    input_alphabet: Sequence[Symbol] | None = None,
-) -> tuple[tuple[Symbol, ...], tuple[Symbol, ...], list[tuple[int, ...]]]:
-    """``(outputs, inputs, encodings)``: the resolved alphabets and the sorted
-    canonical encodings of every behavior :func:`enumerate_consistent` reports.
+def consistent_encodings(trace: Trace, max_states: int) -> list[tuple[int, ...]]:
+    """The sorted canonical encodings of every behavior :func:`enumerate_consistent`
+    reports, over the trace's resolved ``alphabets``.
 
     An encoding is ``(m, *delta, *lam)``: the state count, the ``m`` rows of
     the transition table flattened in input-alphabet order, and each state's
-    output as an index into ``outputs``; the initial state is 0.
+    output as an index into the output alphabet; the initial state is 0.
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
-    outputs, inputs = _resolve_alphabets(trace, output_alphabet, input_alphabet)
+    outputs, inputs = trace.alphabets
     out_index = {sym: i for i, sym in enumerate(outputs)}
     in_index = {sym: i for i, sym in enumerate(inputs)}
     trace_out = tuple(out_index[sym] for sym in trace.outputs)
     trace_in = tuple(in_index[sym] for sym in trace.inputs)
-    encodings = kernels.consistent_machine_encodings(
+    return kernels.consistent_machine_encodings(
         max_states, len(inputs), len(outputs), trace_in, trace_out
     )
-    return outputs, inputs, encodings
 
 
-def enumerate_consistent(
-    trace: Trace,
-    max_states: int,
-    output_alphabet: Sequence[Symbol] | None = None,
-    input_alphabet: Sequence[Symbol] | None = None,
-) -> list[Machine]:
+def enumerate_consistent(trace: Trace, max_states: int) -> list[Machine]:
     """Every behaviorally-distinct machine with at most ``max_states`` states
     that reproduces the trace.
 
@@ -431,9 +417,8 @@ def enumerate_consistent(
     encodings; code that only writes the machines out can use the encodings
     directly.
     """
-    outputs, inputs, encodings = consistent_encodings(
-        trace, max_states, output_alphabet, input_alphabet
-    )
+    encodings = consistent_encodings(trace, max_states)
+    outputs, inputs = trace.alphabets
     k = len(inputs)
     machines = []
     for enc in encodings:

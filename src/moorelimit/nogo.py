@@ -243,13 +243,9 @@ class CloneInferenceReport:
     machines_equivalent: bool
 
 
-def clone_inference_report(
-    trace: Trace,
-    output_alphabet=None,
-    input_alphabet=None,
-) -> CloneInferenceReport:
+def clone_inference_report(trace: Trace) -> CloneInferenceReport:
     """Build the record-identical-yet-distinguishable witness for a trace."""
-    pair: WitnessPair = witness_moore(trace, output_alphabet, input_alphabet)
+    pair: WitnessPair = witness_moore(trace)
     outputs_a = tuple(tuple(o) for o in run_experiment(pair.machine_a, pair.separating))
     outputs_b = tuple(tuple(o) for o in run_experiment(pair.machine_b, pair.separating))
     records_identical = consistent(pair.machine_a, trace) and consistent(pair.machine_b, trace)

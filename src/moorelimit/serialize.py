@@ -138,12 +138,12 @@ def machine_from_dict(doc: dict, where: str = "machine") -> Machine:
     ))
 
 
-def trace_from_dict(doc: dict, where: str = "trace") -> tuple[Trace, list | None, list | None]:
-    """Parse a trace document; returns (trace, output_alphabet, input_alphabet).
+def trace_from_dict(doc: dict, where: str = "trace") -> Trace:
+    """Parse a trace document, its declared alphabets included.
 
-    Alphabets are optional declarations widening the observed symbols.  Inputs
-    must either appear on every step after the first or on none (autonomous
-    observation).
+    An absent, null or empty ``output_alphabet``/``input_alphabet`` declares
+    nothing; :class:`Trace` checks a declared one.  Inputs must either appear
+    on every step after the first or on none (autonomous observation).
     """
     steps = _require(doc, "steps", where)
     if not isinstance(steps, list) or not steps:
@@ -162,12 +162,11 @@ def trace_from_dict(doc: dict, where: str = "trace") -> tuple[Trace, list | None
         raise ParseError(
             f"{where}: inputs must appear on every step after the first or on none"
         )
-    trace = _checked(where, lambda: Trace(tuple(outputs), tuple(inputs) if inputs else None))
     alphabets = [
-        None if doc.get(key) is None else _symbols(doc[key], f"{where}.{key}")
+        None if doc.get(key) is None else tuple(_symbols(doc[key], f"{where}.{key}")) or None
         for key in ("output_alphabet", "input_alphabet")
     ]
-    return trace, *alphabets
+    return _checked(where, lambda: Trace(tuple(outputs), tuple(inputs) if inputs else None, *alphabets))
 
 
 def matrix_from_dict(doc: dict, where: str = "operator") -> np.ndarray:

@@ -56,14 +56,14 @@ def _verdict(label: str, ok: bool, detail: str = "") -> None:
     print(f"{label}: {status}{suffix}")
 
 
-def _random_trace(rng, max_len: int, n_outputs: int, two_inputs: bool = False):
+def _random_trace(rng, max_len: int, n_outputs: int, two_inputs: bool = False) -> Trace:
     length = rng.randint(1, max_len)
     outputs = tuple(rng.randrange(n_outputs) for _ in range(length))
     out_alpha = tuple(range(n_outputs))
     if not two_inputs:
-        return Trace(outputs), out_alpha, None
+        return Trace(outputs, output_alphabet=out_alpha)
     inputs = tuple(rng.choice(("a", "b")) for _ in range(length - 1))
-    return Trace(outputs, inputs), out_alpha, ("a", "b")
+    return Trace(outputs, inputs, out_alpha, ("a", "b"))
 
 
 def test_criterion_1_witness_suite():
@@ -72,10 +72,10 @@ def test_criterion_1_witness_suite():
     problems = []
     start = time.perf_counter()
     for i in range(200):
-        trace, out_alpha, in_alpha = _random_trace(
+        trace = _random_trace(
             rng, max_len=10, n_outputs=rng.choice((2, 3)), two_inputs=rng.random() < 0.3
         )
-        pair = witness_moore(trace, out_alpha, in_alpha)
+        pair = witness_moore(trace)
         outs_a = run_experiment(pair.machine_a, pair.separating)
         outs_b = run_experiment(pair.machine_b, pair.separating)
         if not consistent(pair.machine_a, trace):
@@ -100,8 +100,8 @@ def test_criterion_2_enumeration_matches_oracle():
     for length in range(1, 5):
         for outputs in itertools.product((0, 1), repeat=length):
             n_traces += 1
-            trace = Trace(outputs)
-            found = enumerate_consistent(trace, 3, output_alphabet=(0, 1))
+            trace = Trace(outputs, output_alphabet=(0, 1))
+            found = enumerate_consistent(trace, 3)
             word = tuple(0 for _ in range(length - 1))
             oracle = naive_enumerate(word, outputs, 3, n_inputs=1, n_outputs=2)
             if len(found) != len(oracle):
@@ -129,16 +129,13 @@ def test_criterion_3_multiplicity_grows_with_bound():
     problems = []
     for i in range(50):
         two_inputs = i % 5 < 2
-        trace, out_alpha, in_alpha = _random_trace(
+        trace = _random_trace(
             rng,
             max_len=3,
             n_outputs=2 if two_inputs else rng.choice((2, 3)),
             two_inputs=two_inputs,
         )
-        counts = [
-            len(enumerate_consistent(trace, bound, out_alpha, in_alpha))
-            for bound in (1, 2, 3, 4)
-        ]
+        counts = [len(enumerate_consistent(trace, bound)) for bound in (1, 2, 3, 4)]
         if any(counts[n] > counts[n + 1] for n in range(3)):
             problems.append((trace, counts, "decreasing"))
         if not any(counts[n] < counts[n + 1] for n in range(3)):

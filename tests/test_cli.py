@@ -145,6 +145,14 @@ MACHINE_DOC = {
     "states": 2, "inputs": ["a"], "outputs": [0, 1], "initial": 0, "delta": [[1], [0]], "lambda": [0, 1],
 }
 
+# trace documents whose declared alphabets the trace contradicts
+ALPHABET_FAULTS = {
+    "undeclared-output": {"steps": [{"output": 0}], "output_alphabet": ["x"]},
+    "undeclared-input": {"steps": [{"output": 0}, {"output": 1, "input": "b"}], "input_alphabet": ["a"]},
+    "duplicate-symbol": {"steps": [{"output": 0}], "output_alphabet": [0, 0, 1]},
+    "autonomous-without-a": {"steps": [{"output": 0}, {"output": 1}], "input_alphabet": ["x"]},
+}
+
 
 @pytest.mark.parametrize(
     "command, doc",
@@ -164,19 +172,22 @@ MACHINE_DOC = {
         ("minimize", {**MACHINE_DOC, "initial": "i" * 5000}),
         ("minimize", {**MACHINE_DOC, "lambda": [0, "l" * 5000]}),
         ("witness", {"steps": [{"output": 0}], "output_alphabet": ["o" * 4000]}),
+        *[(command, doc) for doc in ALPHABET_FAULTS.values() for command in ("witness", "enumerate")],
     ],
     ids=[
         "list-symbol", "object-symbol", "bool-state", "deeply-nested", "nested-symbol", "long-symbol",
         "long-states", "long-delta-target", "long-initial", "long-lambda", "long-alphabet",
+        *[f"{command}-{fault}" for fault in ALPHABET_FAULTS for command in ("witness", "enumerate")],
     ],
 )
 def test_malformed_document_exits_2_with_one_error_line(capsys, tmp_path, command, doc):
-    argv = [command, write_json(tmp_path / "doc.json", doc)]
+    path = write_json(tmp_path / "doc.json", doc)
+    argv = [command, path]
     if command == "enumerate":
         argv += ["--max-states", "2"]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
     assert len(err) < len(str(tmp_path)) + 200  # a quoted value is cut short
 
 
@@ -270,12 +281,22 @@ def test_malformed_config_exits_2_naming_the_field(capsys, tmp_path, command, do
     assert field in err
 
 
+@pytest.mark.parametrize("command", ["chsh", "ks", "noclone", "exchange"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "-1e-9"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:  # "--tol=" keeps argparse from reading "-1e-9" as an option
+        cli.main([command, f"--tol={value}"])
+    assert exc.value.code == 2
+    assert "must be a finite number >= 0" in capsys.readouterr().err
+
+
 def test_tolerance_defaults_per_command():
     parser = cli.build_parser()
     defaults = {"chsh": 1e-9, "ks": 1e-12, "noclone": 1e-12, "exchange": 1e-9}
     for command, tol in defaults.items():
         assert parser.parse_args([command]).tol == tol
         assert parser.parse_args([command, "--tol", "0.5"]).tol == 0.5
+        assert parser.parse_args([command, "--tol", "0"]).tol == 0.0
     # the other subcommands check nothing against a tolerance, so they take no --tol
     others = {
         "witness": ["t.json"],
@@ -364,8 +385,7 @@ def test_enumerate_rows_equal_the_documents_of_enumerated_machines(capsys, tmp_p
         bound = rng.randint(1, 3)
         path = write_json(tmp_path / "t.json", doc)
         code, report = run_report(capsys, ["enumerate", path, "--max-states", str(bound)])
-        trace, out_alpha, in_alpha = trace_from_dict(doc)
-        machines = enumerate_consistent(trace, bound, out_alpha, in_alpha)
+        machines = enumerate_consistent(trace_from_dict(doc), bound)
         assert code == 0
         assert report["results"]["machines"] == [machine_to_dict(m) for m in machines], doc
 

@@ -26,13 +26,13 @@ def test_two_step_binary_trace_bound_two():
 
 
 def test_single_record_singleton_alphabet():
-    machines = enumerate_consistent(Trace((0,)), 1, output_alphabet=(0,))
+    machines = enumerate_consistent(Trace((0,), output_alphabet=(0,)), 1)
     assert len(machines) == 1
     assert machines[0].output == (0,)
 
 
 def test_single_record_binary_alphabet_bound_one():
-    machines = enumerate_consistent(Trace((0,)), 1, output_alphabet=(0, 1))
+    machines = enumerate_consistent(Trace((0,), output_alphabet=(0, 1)), 1)
     assert len(machines) == 1
     assert machines[0].output == (0,)
 
@@ -49,7 +49,7 @@ def test_bound_must_be_positive():
 def test_results_are_canonical_sorted_and_consistent():
     trace = Trace((0, 1, 1, 0))
     machines = enumerate_consistent(trace, 3)
-    _, _, encodings = consistent_encodings(trace, 3)
+    encodings = consistent_encodings(trace, 3)
     assert len(encodings) == len(machines)
     assert encodings == sorted(encodings)
     assert len(set(encodings)) == len(encodings)
@@ -70,11 +70,8 @@ def test_counts_nondecreasing_in_bound():
     for _ in range(25):
         n_out = rng.choice([2, 3])
         outputs = tuple(rng.randrange(n_out) for _ in range(rng.randint(1, 5)))
-        trace = Trace(outputs)
-        counts = [
-            len(enumerate_consistent(trace, n, output_alphabet=tuple(range(n_out))))
-            for n in (1, 2, 3)
-        ]
+        trace = Trace(outputs, output_alphabet=tuple(range(n_out)))
+        counts = [len(enumerate_consistent(trace, n)) for n in (1, 2, 3)]
         assert counts[0] <= counts[1] <= counts[2]
 
 
@@ -83,13 +80,10 @@ def _oracle_matches(trace_outputs, max_states, n_outputs, trace_inputs=(), n_inp
     trace = Trace(
         tuple(trace_outputs),
         tuple("ab"[i] for i in trace_inputs) if trace_inputs else None,
-    )
-    result = enumerate_consistent(
-        trace,
-        max_states,
         output_alphabet=tuple(range(n_outputs)),
         input_alphabet=tuple("ab"[:n_inputs]),
     )
+    result = enumerate_consistent(trace, max_states)
     reps = naive_enumerate(
         list(trace_inputs) or [0] * (len(trace_outputs) - 1),
         list(trace_outputs),
@@ -123,7 +117,7 @@ def test_matches_naive_oracle_ternary_outputs():
 
 def test_machines_cover_unrecorded_behavior():
     # with a binary output alphabet even a constant trace admits divergent machines
-    machines = enumerate_consistent(Trace((0, 0)), 3, output_alphabet=(0, 1))
+    machines = enumerate_consistent(Trace((0, 0), output_alphabet=(0, 1)), 3)
     futures = set()
     for m in machines:
         state = m.initial

@@ -371,7 +371,7 @@ def test_trace_to_fsm_chain_shape():
 
 
 def test_trace_to_fsm_constant_chain_minimizes_to_one_state():
-    chain = trace_to_fsm(Trace((3, 3, 3)), output_alphabet=(3, 7))
+    chain = trace_to_fsm(Trace((3, 3, 3), output_alphabet=(3, 7)))
     assert chain.state_count == 3
     assert minimize(chain).state_count == 1
 
@@ -380,8 +380,8 @@ def test_trace_to_fsm_always_consistent():
     rng = random.Random(19)
     for _ in range(100):
         outputs = tuple(rng.randrange(3) for _ in range(rng.randint(1, 8)))
-        t = Trace(outputs)
-        assert consistent(trace_to_fsm(t, output_alphabet=(0, 1, 2)), t)
+        t = Trace(outputs, output_alphabet=(0, 1, 2))
+        assert consistent(trace_to_fsm(t), t)
 
 
 def test_witness_two_step_trace():
@@ -394,7 +394,7 @@ def test_witness_two_step_trace():
 
 
 def test_witness_constant_trace_with_spare_symbol():
-    pair = witness_moore(Trace((3, 3, 3)), output_alphabet=(3, 7))
+    pair = witness_moore(Trace((3, 3, 3), output_alphabet=(3, 7)))
     assert pair.machine_a.state_count == 1
     assert pair.machine_b.state_count == 4
     assert pair.separating.words == (("a", "a", "a"),)
@@ -407,7 +407,7 @@ def test_witness_degenerate_alphabet():
 
 def test_witness_alphabet_must_cover_trace():
     with pytest.raises(AlphabetError):
-        witness_moore(Trace((0, 2)), output_alphabet=(0, 1))
+        witness_moore(Trace((0, 2), output_alphabet=(0, 1)))
 
 
 def test_witness_properties_on_random_traces():
@@ -415,8 +415,8 @@ def test_witness_properties_on_random_traces():
     for _ in range(60):
         n_out = rng.choice([2, 3])
         outputs = tuple(rng.randrange(n_out) for _ in range(rng.randint(1, 8)))
-        trace = Trace(outputs)
-        pair = witness_moore(trace, output_alphabet=tuple(range(n_out)))
+        trace = Trace(outputs, output_alphabet=tuple(range(n_out)))
+        pair = witness_moore(trace)
         assert consistent(pair.machine_a, trace)
         assert consistent(pair.machine_b, trace)
         assert not equivalent(pair.machine_a, pair.machine_b)
@@ -426,8 +426,8 @@ def test_witness_properties_on_random_traces():
 
 
 def test_witness_with_recorded_inputs():
-    trace = Trace((0, 1, 1), ("b", "a"))
-    pair = witness_moore(trace, input_alphabet=("a", "b"))
+    trace = Trace((0, 1, 1), ("b", "a"), input_alphabet=("a", "b"))
+    pair = witness_moore(trace)
     assert consistent(pair.machine_a, trace)
     assert consistent(pair.machine_b, trace)
     assert not equivalent(pair.machine_a, pair.machine_b)

@@ -2,8 +2,9 @@
 
 Each case starts from a valid document of one input format, puts a value of
 some JSON kind at one path of it, and runs ``cli.main`` in process.  No
-exception may escape; exit 2 prints exactly one ``error:`` line; exit 0 or 1
-prints strict JSON (no ``NaN`` or ``Infinity`` tokens); no warning is raised.
+exception may escape; exit 2 prints exactly one ``error:`` line, which names
+the mutated file for a trace or a machine; exit 0 or 1 prints strict JSON (no
+``NaN`` or ``Infinity`` tokens); no warning is raised.
 """
 
 import contextlib
@@ -95,6 +96,9 @@ FORMATS = {
     ),
 }
 
+# formats whose every rejection names the mutated file
+NAMED_IN_ERRORS = {"trace", "machine"}
+
 KINDS = st.one_of(
     st.none(),
     st.booleans(),
@@ -144,6 +148,7 @@ def test_malformed_input_keeps_the_exit_code_contract(fmt, data):
         for name, doc in files.items():
             (directory / name).write_text(json.dumps(doc))
         argv = [str(directory / a) if a in files else a for a in argv]
+        target_path = str(directory / target)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with warnings.catch_warnings(record=True) as caught:
@@ -153,6 +158,8 @@ def test_malformed_input_keeps_the_exit_code_contract(fmt, data):
     assert not caught, "a warning would print more lines on stderr"
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        if fmt in NAMED_IN_ERRORS:
+            assert target_path in err, err
         assert out == ""
     else:
         assert code in (0, 1) and err == ""

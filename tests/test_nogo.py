@@ -242,7 +242,7 @@ def test_clone_inference_report_random_traces():
     rng = np.random.default_rng(79)
     for _ in range(25):
         outputs = tuple(int(x) for x in rng.integers(0, 2, size=rng.integers(1, 7)))
-        report = clone_inference_report(Trace(outputs), output_alphabet=(0, 1))
+        report = clone_inference_report(Trace(outputs, output_alphabet=(0, 1)))
         assert report.records_identical
         assert not report.machines_equivalent
         assert report.outputs_a != report.outputs_b

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moorelimit import cli
 from moorelimit.machines import Machine, Trace
 from moorelimit.observer import ObserverModel
 from moorelimit.quantum import Povm, basis_povm
@@ -82,10 +83,11 @@ def test_machine_invalid_table_becomes_parse_error():
 
 
 def test_trace_round_trip_without_inputs():
-    back, out_alpha, in_alpha = trace_from_dict({"steps": [{"output": 0}, {"output": 1}, {"output": 1}]})
+    back = trace_from_dict({"steps": [{"output": 0}, {"output": 1}, {"output": 1}]})
     assert back == Trace((0, 1, 1))
     assert back.inputs == ("a", "a")
-    assert out_alpha is None and in_alpha is None
+    assert back.output_alphabet is None and back.input_alphabet is None
+    assert back.alphabets == ((0, 1), ("a",))
 
 
 def test_trace_round_trip_with_inputs_and_alphabets():
@@ -94,10 +96,28 @@ def test_trace_round_trip_with_inputs_and_alphabets():
         "output_alphabet": ["lo", "hi"],
         "input_alphabet": ["a", "b"],
     }
-    trace, out_alpha, in_alpha = trace_from_dict(doc)
-    assert trace == Trace(("lo", "hi"), ("b",))
-    assert out_alpha == ["lo", "hi"]
-    assert in_alpha == ["a", "b"]
+    trace = trace_from_dict(doc)
+    assert trace == Trace(("lo", "hi"), ("b",), output_alphabet=("lo", "hi"), input_alphabet=("a", "b"))
+    assert trace.output_alphabet == ("lo", "hi")
+    assert trace.input_alphabet == ("a", "b")
+
+
+@pytest.mark.parametrize("declared", [[], None], ids=["empty", "null"])
+def test_trace_empty_or_null_alphabet_declares_nothing(capsys, tmp_path, declared):
+    doc = {"steps": [{"output": 0}, {"output": 1}], "output_alphabet": declared, "input_alphabet": declared}
+    trace = trace_from_dict(doc)
+    assert trace.output_alphabet is None and trace.input_alphabet is None
+    assert trace.alphabets == ((0, 1), ("a",))
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["witness", str(path)]) == 0
+    echo = json.loads(capsys.readouterr().out)["inputs"]
+    assert echo["output_alphabet"] is None and echo["input_alphabet"] is None
+
+
+def test_trace_rejects_an_empty_alphabet_passed_to_the_constructor():
+    with pytest.raises(ValueError, match="output alphabet must be nonempty"):
+        Trace((0,), output_alphabet=())
 
 
 def test_trace_first_step_must_not_carry_input():
