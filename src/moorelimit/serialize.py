@@ -1,11 +1,12 @@
-"""JSON formats for machines, traces, operators, POVMs and ``--config`` documents.
+"""JSON formats for machines and traces, report rendering and atomic writes.
 
 Machines serialize with explicit ``states``/``inputs``/``outputs``/``initial``
 /``delta``/``lambda`` fields; traces as one record per step (``output`` plus,
-from the second step on, an optional ``input``); operators as ``dim`` with
-row-major ``re``/``im`` arrays.  Each JSON kind has one reader (``_object``,
-``_symbol``, ``_number``, ``_integer``) that every document uses.  Parsing
-raises :class:`ParseError` with a field-level message; writing is atomic.
+from the second step on, an optional ``input``).  Each JSON kind has one
+reader (``_object``, ``_symbol``, ``_number``, ``_integer``) that every
+document uses, here and in :mod:`moorelimit.demos`, which reads the physics
+commands' documents.  Parsing raises :class:`ParseError` with a field-level
+message; writing is atomic.
 """
 
 from __future__ import annotations
@@ -16,11 +17,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .machines import Machine, Trace, _quoted
-from .observer import DetectorConfig, ObserverModel, SourceConfig
-from .quantum import DensityOperator, Effect, Povm, StateVector
 
 
 class ParseError(ValueError):
@@ -74,18 +71,6 @@ def _integer(value, where: str) -> int:
     if not (type(value) is int or type(value) is float and value.is_integer()):
         raise ParseError(f"{where}: expected an integer, got {_quoted(value)}")
     return int(value)
-
-
-def _floats(values, where: str) -> np.ndarray:
-    """An array of numbers, or an array of such arrays, as a float array."""
-    nested = isinstance(values, list) and any(isinstance(v, list) for v in values)
-    for i, row in enumerate(values if nested else [values]):
-        at = f"{where}[{i}]" if nested else where
-        if not isinstance(row, list):
-            raise ParseError(f"{at}: expected an array of numbers, got {type(row).__name__}")
-        for j, v in enumerate(row):
-            _number(v, f"{at}[{j}]")
-    return _checked(where, lambda: np.asarray(values, dtype=float))
 
 
 def _machine_row(states: int, inputs: list, outputs: list, initial: int, delta: list, lam: list) -> dict:
@@ -167,134 +152,6 @@ def trace_from_dict(doc: dict, where: str = "trace") -> Trace:
         for key in ("output_alphabet", "input_alphabet")
     ]
     return _checked(where, lambda: Trace(tuple(outputs), tuple(inputs) if inputs else None, *alphabets))
-
-
-def matrix_from_dict(doc: dict, where: str = "operator") -> np.ndarray:
-    dim = _integer(_require(doc, "dim", where), f"{where}.dim")
-    re = _floats(_require(doc, "re", where), f"{where}.re")
-    im = _floats(_require(doc, "im", where), f"{where}.im")
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ParseError(f"{where}: re/im must be {dim}x{dim} row-major arrays")
-    return re + 1j * im
-
-
-def state_from_dict(doc: dict, where: str = "state") -> StateVector:
-    dim = _integer(_require(doc, "dim", where), f"{where}.dim")
-    re = _floats(_require(doc, "re", where), f"{where}.re")
-    im = _floats(_require(doc, "im", where), f"{where}.im")
-    if re.shape != (dim,) or im.shape != (dim,):
-        raise ParseError(f"{where}: re/im must be flat arrays of length {dim}")
-    return _checked(where, lambda: StateVector(re + 1j * im))
-
-
-def density_from_dict(doc: dict, where: str = "density") -> DensityOperator:
-    matrix = matrix_from_dict(doc, where)
-    return _checked(where, lambda: DensityOperator(matrix))
-
-
-def povm_from_dict(doc: dict, where: str = "povm") -> Povm:
-    labels = _symbols(_require(doc, "labels", where), f"{where}.labels")
-    effects = _require(doc, "effects", where)
-    if not isinstance(effects, list) or not effects:
-        raise ParseError(f"{where}: 'effects' must be a nonempty array")
-    matrices = [matrix_from_dict(e, f"{where}.effects[{i}]") for i, e in enumerate(effects)]
-    return _checked(where, lambda: Povm(tuple(Effect(m) for m in matrices), tuple(labels)))
-
-
-def source_from_dict(doc: dict, where: str = "source") -> SourceConfig:
-    activity = _number(_require(doc, "activity", where), f"{where}: activity")
-    distance = _number(_require(doc, "distance", where), f"{where}: distance")
-    photon_yield = _number(doc.get("yield", 1.0), f"{where}: yield")
-    return _checked(where, lambda: SourceConfig(activity, distance, photon_yield))
-
-
-def detector_from_dict(doc: dict, where: str = "detector") -> DetectorConfig:
-    aperture = _number(_require(doc, "aperture_diameter", where), f"{where}: aperture_diameter")
-    efficiency = _number(_require(doc, "efficiency", where), f"{where}: efficiency")
-    saturation = _integer(doc.get("saturation", 100), f"{where}.saturation")
-    return _checked(where, lambda: DetectorConfig(aperture, efficiency, saturation))
-
-
-def detector_to_dict(detector: DetectorConfig) -> dict:
-    return {
-        "aperture_diameter": detector.aperture_diameter,
-        "efficiency": detector.efficiency,
-        "saturation": detector.saturation,
-    }
-
-
-def observer_from_dict(doc: dict, base_dir: Path | None = None, where: str = "observer") -> ObserverModel:
-    """Observer block: environment dimension plus named POVMs, inline or by file."""
-    env_dim = _integer(_require(doc, "env_dim", where), f"{where}.env_dim")
-    entries = _require(doc, "povms", where)
-    if not isinstance(entries, list) or not entries:
-        raise ParseError(f"{where}: 'povms' must be a nonempty array")
-    povms = {}
-    for i, entry in enumerate(entries):
-        at = f"{where}.povms[{i}]"
-        name = _symbol(_require(entry, "name", at), f"{at}.name")
-        if str(name) in map(str, povms):  # the report keys statistics by the name's JSON spelling
-            raise ParseError(f"{at}.name: {_quoted(name)} names an earlier POVM too")
-        if "file" in entry:
-            if not isinstance(entry["file"], str):
-                raise ParseError(f"{at}.file: expected a path string, got {_quoted(entry['file'])}")
-            entry = load_json(base_dir / entry["file"] if base_dir else entry["file"])
-        povms[name] = povm_from_dict(entry, at)
-    return _checked(where, lambda: ObserverModel(env_dim=env_dim, povms=povms))
-
-
-def chsh_config_from_dict(doc: dict, where: str) -> tuple[dict, DensityOperator | None]:
-    """A ``chsh`` config: its four ``angles`` (empty without the block) and its
-    ``state``, a flat vector or a density matrix (None without the block)."""
-    angles = {}
-    if "angles" in _object(doc, where):
-        block = _object(doc["angles"], f"{where}: angles")
-        for key in ("a", "a_prime", "b", "b_prime"):
-            angles[key] = _number(_require(block, key, f"{where}: angles"), f"{where}: angles.{key}")
-    if "state" not in doc:
-        return angles, None
-    at = f"{where}: state"
-    re_block = _object(doc["state"], at).get("re")
-    if isinstance(re_block, list) and re_block and isinstance(re_block[0], list):
-        state = density_from_dict(doc["state"], at)
-    else:
-        state = DensityOperator.from_state(state_from_dict(doc["state"], at))
-    if state.dim != 4:
-        raise ParseError(f"{at}: CHSH needs a two-qubit state (dim 4), got dim {state.dim}")
-    return angles, state
-
-
-def state_pairs_from_dict(doc: dict, where: str) -> list[tuple]:
-    """A ``noclone`` config: ``(name, psi, phi)`` for each entry of its ``pairs`` array."""
-    entries = _object(doc, where).get("pairs")
-    if not isinstance(entries, list) or not entries:
-        raise ParseError(f"{where}: expected a nonempty 'pairs' array")
-    pairs = []
-    for i, entry in enumerate(entries):
-        at = f"{where}: pairs[{i}]"
-        name = _symbol(_object(entry, at).get("name", f"pair_{i}"), f"{at}.name")
-        psi = state_from_dict(_require(entry, "psi", at), f"{at}.psi")
-        phi = state_from_dict(_require(entry, "phi", at), f"{at}.phi")
-        if psi.dim != phi.dim:
-            raise ParseError(f"{at}: state dims differ: psi has {psi.dim}, phi has {phi.dim}")
-        pairs.append((name, psi, phi))
-    return pairs
-
-
-def scenario_from_dict(doc: dict, path: str | None = None) -> tuple:
-    """An ``exchange``/``geiger`` config from ``path`` (None if built in) as ``(names, sources,
-    detector, observer or None, [density_a, density_b] where present)``; POVM files
-    resolve against the config's directory."""
-    src_block = _object(doc, str(path)).get("sources")
-    if not isinstance(src_block, dict) or not src_block:
-        raise ParseError("scenario: expected a nonempty 'sources' object")
-    names = list(src_block)
-    sources = [source_from_dict(src_block[name], f"sources.{name}") for name in names]
-    detector = detector_from_dict(doc.get("detector", {}), "detector")
-    base_dir = Path(path).parent if path else None
-    observer = observer_from_dict(doc["observer"], base_dir) if "observer" in doc else None
-    densities = [density_from_dict(doc[key], key) for key in ("density_a", "density_b") if key in doc]
-    return names, sources, detector, observer, densities
 
 
 def load_json(path) -> Any:

@@ -9,6 +9,10 @@ layer still has a site to wrap.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +20,8 @@ import pytest
 from moorelimit import cli, kernels
 from moorelimit.machines import Machine
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -33,6 +38,45 @@ tracing = load_tracing()
 def test_every_layer_has_a_lookup_site_that_resolves(layer):
     sites = tracing.LAYERS[layer]
     assert any(hasattr(importlib.import_module(module), name) for module, name in sites), sites
+
+
+# A traced run that only ever dispatches machine commands, in a process where
+# nothing else has imported numpy or the physics modules: the sites that
+# resolve in the pytest process must resolve here too.
+FRESH_PROCESS = """\
+import contextlib, importlib, importlib.util, io, json, sys
+from moorelimit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["enumerate", "trace.json", "--max-states", "2"])
+has_path = hasattr(cli, "__path__")
+numpy_loaded = "numpy" in sys.modules
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+unresolved = [
+    layer for layer, sites in tracing.LAYERS.items()
+    if not any(hasattr(importlib.import_module(module), name) for module, name in sites)
+]
+print(json.dumps({"rc": rc, "has_path": has_path, "numpy_loaded": numpy_loaded, "unresolved": unresolved}))
+"""
+
+
+def test_every_layer_resolves_in_a_fresh_interpreter():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, str(TRACING)],
+        cwd=ROOT / "tests" / "golden",
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == {
+        "rc": 0,
+        "has_path": False,
+        "numpy_loaded": False,
+        "unresolved": [],
+    }
 
 
 def test_every_per_layer_metric_names_a_known_layer():

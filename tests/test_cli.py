@@ -208,6 +208,14 @@ def test_negative_samples_rejected_at_parsing(capsys, command, value, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["chsh", "geiger"])
+def test_zero_samples_is_the_same_as_no_samples(capsys, command):
+    code, report = run_report(capsys, [command, "--samples", "0"])
+    assert code == 0
+    assert "sampled" not in report["results"]
+    assert report == run_report(capsys, [command])[1]
+
+
 ANGLES = {"a": 0.0, "a_prime": 1.0, "b": 0.5, "b_prime": 2.0}
 SOURCE = {"activity": 1.0, "distance": 1.0}
 DETECTOR = {"aperture_diameter": 2.0, "efficiency": 0.5}

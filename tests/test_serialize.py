@@ -10,19 +10,21 @@ from moorelimit import cli
 from moorelimit.machines import Machine, Trace
 from moorelimit.observer import ObserverModel
 from moorelimit.quantum import Povm, basis_povm
-from moorelimit.serialize import (
-    ParseError,
+from moorelimit.demos import (
     density_from_dict,
     detector_from_dict,
-    dumps_report,
-    load_json,
-    machine_from_dict,
-    machine_to_dict,
     matrix_from_dict,
     observer_from_dict,
     povm_from_dict,
     source_from_dict,
     state_from_dict,
+)
+from moorelimit.serialize import (
+    ParseError,
+    dumps_report,
+    load_json,
+    machine_from_dict,
+    machine_to_dict,
     trace_from_dict,
     write_atomic,
 )
