@@ -37,7 +37,7 @@ from .machines import (
 from .serialize import (
     ParseError,
     dumps_report,
-    encoding_to_dict,
+    encoding_rows,
     load_json,
     machine_from_dict,
     machine_to_dict,
@@ -185,7 +185,7 @@ def cmd_enumerate(args) -> int:
     echo["max_states"] = args.max_states
     encodings = consistent_encodings(trace, args.max_states)
     outputs, inputs = trace.alphabets
-    rows = [encoding_to_dict(enc, inputs, outputs) for enc in encodings]
+    rows = encoding_rows(encodings, inputs, outputs)
     counts = [
         {"max_states": bound, "count": sum(enc[0] <= bound for enc in encodings)}
         for bound in range(1, args.max_states + 1)

@@ -23,27 +23,32 @@ import itertools
 BACKEND = "python"
 
 
-def refine(n_inputs: int, delta, lam) -> list[int]:
+def refine(columns, lam) -> list[int]:
     """Coarsest partition of the states that respects outputs and transitions.
 
-    States start grouped by output and are split until every block's members
-    step into the same blocks under every input (Moore 1956).  Returns the
-    block of each state, blocks numbered in order of their first state; two
-    states share a block exactly when no experiment distinguishes them.
+    ``columns`` holds one successor tuple per input (``columns[i][s]`` is
+    the successor of state ``s`` under input ``i``) and ``lam`` the output
+    index of each state.  States start grouped by output and are split until
+    every block's members step into the same blocks under every input (Moore
+    1956).  Returns the block of each state, blocks numbered in order of
+    their first state; two states share a block exactly when no experiment
+    distinguishes them.  Once every state is alone, no pass can split
+    further, so the result is ``list(range(n))`` at once.
     """
-    block = list(lam)
+    n = len(lam)
+    block = lam
     n_blocks = len(set(block))
-    while True:
+    while n_blocks < n:
         sigs: dict[tuple[int, ...], int] = {}
-        new = []
-        for s in range(len(block)):
-            base = s * n_inputs
-            sig = (block[s], *[block[t] for t in delta[base : base + n_inputs]])
-            new.append(sigs.setdefault(sig, len(sigs)))
-        block = new
+        new = [
+            sigs.setdefault(sig, len(sigs))
+            for sig in zip(block, *[map(block.__getitem__, col) for col in columns])
+        ]
         if len(sigs) == n_blocks:
-            return block
+            return new
+        block = new
         n_blocks = len(sigs)
+    return list(range(n))
 
 
 def consistent_machine_encodings(
@@ -79,12 +84,14 @@ def consistent_machine_encodings(
 
     def complete(n: int) -> None:
         flat = tuple(delta[: n * k])
+        columns = [flat[i::k] for i in range(k)]
         lam = forced[:n]
         free = [s for s in range(n) if lam[s] < 0]
         for outputs in itertools.product(range(n_outputs), repeat=len(free)):
             for s, v in zip(free, outputs):
                 lam[s] = v
-            if max(refine(k, flat, lam)) == n - 1:
+            # blocks are numbered by first state: the last is n - 1 iff all are alone
+            if refine(columns, lam)[-1] == n - 1:
                 by_size[n].append((n, *flat, *lam))
 
     def fill(slot: int, n: int, pos: int, state: int) -> None:

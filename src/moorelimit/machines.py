@@ -294,8 +294,7 @@ def minimize(machine: Machine) -> Machine:
     reachable classes.  Idempotent.
     """
     block = kernels.refine(
-        len(machine.input_alphabet),
-        [t for row in machine.transition for t in row],
+        list(zip(*machine.transition)),
         [machine._output_index[sym] for sym in machine.output],
     )
     n_blocks = max(block) + 1

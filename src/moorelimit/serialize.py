@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 from typing import Any
 
@@ -96,14 +97,41 @@ def machine_to_dict(machine: Machine) -> dict:
     )
 
 
-def encoding_to_dict(encoding: tuple[int, ...], inputs: tuple, outputs: tuple) -> dict:
-    """The document :func:`machine_to_dict` gives for the machine that one of
-    :func:`moorelimit.machines.consistent_encodings`'s encodings describes
-    over the alphabets ``inputs`` and ``outputs``."""
-    m, k = encoding[0], len(inputs)
-    delta = [list(encoding[1 + s * k : 1 + (s + 1) * k]) for s in range(m)]
-    lam = [outputs[i] for i in encoding[1 + m * k :]]
-    return _machine_row(m, list(inputs), list(outputs), 0, delta, lam)
+def encoding_rows(encodings, inputs: tuple, outputs: tuple) -> list[dict]:
+    """The documents :func:`machine_to_dict` gives for the machines that
+    :func:`moorelimit.machines.consistent_encodings`'s encodings describe over
+    the alphabets ``inputs`` and ``outputs``, one per encoding.
+
+    Equal parts are one object: every row holds the same ``inputs`` and
+    ``outputs`` lists, and rows share one list per distinct transition row,
+    one ``delta`` per distinct flat table and one ``lambda`` per distinct
+    output tuple.  The rows are for reading and rendering, not for mutation.
+    """
+    k = len(inputs)
+    inputs, outputs = list(inputs), list(outputs)
+    row_lists: dict[tuple[int, ...], list] = {}
+    deltas: dict[tuple[int, ...], list] = {}
+    lams: dict[tuple[int, ...], list] = {}
+    rows = []
+    for enc in encodings:
+        m = enc[0]
+        cut = 1 + m * k
+        flat = enc[1:cut]
+        delta = deltas.get(flat)
+        if delta is None:
+            delta = deltas[flat] = []
+            for start in range(0, m * k, k):
+                row = flat[start : start + k]
+                listed = row_lists.get(row)
+                if listed is None:
+                    listed = row_lists[row] = list(row)
+                delta.append(listed)
+        key = enc[cut:]
+        lam = lams.get(key)
+        if lam is None:
+            lam = lams[key] = [outputs[i] for i in key]
+        rows.append(_machine_row(m, inputs, outputs, 0, delta, lam))
+    return rows
 
 
 def machine_from_dict(doc: dict, where: str = "machine") -> Machine:
@@ -165,7 +193,7 @@ def load_json(path) -> Any:
 
 
 _encode_str = json.encoder.encode_basestring  # the string spelling of ensure_ascii=False
-_MEMO_ITEM_TYPES = {str, int}  # exact types: a bool or a float item keeps a list out of the memo
+_CONTAINERS = (dict, list, tuple)
 
 
 def _scalar_text(value) -> str | None:
@@ -195,44 +223,84 @@ def dumps_report(doc: Any) -> str:
     ensure_ascii=False) + "\\n"`` for every JSON value (dicts, lists, tuples,
     strings, numbers, bools, None), with the same key conversion and the same
     TypeError for a value or key ``json`` refuses; a circular structure is
-    not a JSON value and ends in a RecursionError.  A list of strings and
-    integers only (bools and floats excluded, so ``1``, ``True`` and ``1.0``
-    never share an entry) is rendered once per indentation and reused, which
-    pays off on the many equal ``delta`` rows and alphabets of an
-    ``enumerate`` report.
-    """
-    memo: dict[tuple, str] = {}
+    not a JSON value and ends in a RecursionError.
 
-    def render(value, pad: str) -> str:
+    The text is built as a list of parts joined once at the end, so a long
+    report is copied once, not once per level of nesting.  Within one call
+    the same object at the same indentation always renders to the same text,
+    and the document keeps every object it holds alive, so no identity is
+    reused.  A list or tuple whose items are all scalars is therefore
+    rendered once per indentation and looked up by identity after that,
+    which pays off on the shared ``inputs``, ``outputs``, transition rows and
+    ``lambda`` lists of :func:`encoding_rows`.  Lists that hold containers,
+    such as a ``delta`` or ``machines``, are rendered each time they are
+    reached, so the memo stays small.  The text of each string key is cached
+    too.
+    """
+    memo: defaultdict[str, dict[int, str]] = defaultdict(dict)  # pad -> id of a list -> its text
+    keys: dict[str, str] = {}
+    out: list[str] = []
+    emit = out.append
+
+    def scalar(value) -> str:
         kind = type(value)
         if kind is str:
             return _encode_str(value)
         if kind is int:
             return int.__repr__(value)
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            fields = [_key_text(k) + ": " + render(v, inner) for k, v in value.items()]
-            return "{\n" + inner + sep.join(fields) + "\n" + pad + "}"
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            items = tuple(value)
-            flat = set(map(type, items)) <= _MEMO_ITEM_TYPES
-            text = memo.get((pad, items)) if flat else None
-            if text is None:
-                text = "[\n" + inner + sep.join([render(v, inner) for v in items]) + "\n" + pad + "]"
-                if flat:
-                    memo[pad, items] = text
-            return text
         text = _scalar_text(value)
         if text is None:
             raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
         return text
 
-    return render(doc, "") + "\n"
+    def render(value, pad: str) -> None:
+        if not isinstance(value, _CONTAINERS):
+            emit(scalar(value))
+            return
+        if not value:
+            emit("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        known = memo[inner]  # looked up before a call: most lists of a report are already rendered
+        if isinstance(value, dict):
+            lead = "{\n" + inner
+            for k, v in value.items():
+                name = keys.get(k)  # only str keys are stored, so 1, True and 1.0 never match
+                if name is None:
+                    name = _key_text(k) + ": "
+                    if type(k) is str:
+                        keys[k] = name
+                emit(lead)
+                emit(name)
+                text = known.get(id(v))
+                if text is None:
+                    render(v, inner)
+                else:
+                    emit(text)
+                lead = sep
+            emit("\n" + pad + "}")
+        elif any(isinstance(v, _CONTAINERS) for v in value):
+            lead = "[\n" + inner
+            for v in value:
+                emit(lead)
+                text = known.get(id(v))
+                if text is None:
+                    render(v, inner)
+                else:
+                    emit(text)
+                lead = sep
+            emit("\n" + pad + "]")
+        else:
+            text = f"[\n{inner}{sep.join([scalar(v) for v in value])}\n{pad}]"
+            memo[pad][id(value)] = text
+            emit(text)
+
+    render(doc, "")
+    emit("\n")
+    text = "".join(out)
+    out.clear()  # render refers to itself, so this frame outlives the call until the cycle collector runs
+    return text
 
 
 def write_atomic(path, text: str) -> None:

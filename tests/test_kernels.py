@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from moorelimit import kernels
 
-from oracle import naive_enumerate
+from oracle import naive_enumerate, naive_equivalent
 
 
 def test_backend_is_reported():
@@ -42,3 +44,42 @@ def test_counts_match_oracle_on_random_instances():
             assert sum(enc[0] <= bound for enc in encodings) == sum(
                 rep[0] <= bound for rep in reps
             )
+
+
+def assert_refine_matches_oracle(delta, lam):
+    """``refine`` groups exactly the states the oracle finds equivalent, blocks numbered by first state."""
+    n, k = len(lam), len(delta[0])
+    block = kernels.refine(list(zip(*delta)), list(lam))
+    assert len(block) == n
+    for s in range(n):
+        for t in range(s + 1, n):
+            same = naive_equivalent((n, s, delta, lam), (n, t, delta, lam), k)
+            assert (block[s] == block[t]) == same, (delta, lam, s, t)
+    firsts = list(dict.fromkeys(block))
+    assert firsts == list(range(len(firsts))), (delta, lam, block)
+
+
+@pytest.mark.parametrize(
+    "delta, lam",
+    [
+        (((0,), (1,)), (0, 2)),
+        (((1,), (2,), (0,)), (2, 2, 0)),
+        (((1, 2), (0, 2), (2, 2)), (2, 2, 0)),
+        (((1,), (0,), (2,)), (5, 5, 5)),
+        (((0,),), (3,)),
+    ],
+)
+def test_refine_renumbers_any_output_indices(delta, lam):
+    assert_refine_matches_oracle(delta, lam)
+
+
+def test_refine_matches_naive_equivalence_on_random_machines():
+    rng = random.Random(1956)
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        # the oracle compares every word up to n * n steps long, k ** (n * n) of them
+        n = rng.randint(1, 5 if k == 1 else 3)
+        codes = rng.choice([(0, 1), (0, 2), (2, 0, 7), (1,)])
+        delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
+        lam = tuple(rng.choice(codes) for _ in range(n))
+        assert_refine_matches_oracle(delta, lam)

@@ -299,6 +299,46 @@ def test_dumps_report_matches_json_indent_2(doc):
     assert dumps_report(doc) == reference_dumps(doc)
 
 
+def test_dumps_report_renders_one_list_reached_at_several_indentations():
+    shared = [1, "a", None, 2.5]
+    row = {"x": shared, "deep": {"y": shared, "z": [shared, (shared,)]}}
+    doc = {"rows": [row, row, {"x": shared}], "top": shared, "pair": [[shared], shared]}
+    assert dumps_report(doc) == reference_dumps(doc)
+
+
+def test_dumps_report_keeps_aliased_1_true_and_1_0_apart():
+    ints, bools, floats = [1, 0], [True, False], [1.0, 0.0]
+    doc = [
+        ints, bools, floats,
+        {"1": ints, "t": bools},
+        {1: bools}, {True: floats}, {1.0: ints},
+        [floats, bools, ints], (ints, bools), [[ints], [bools], [floats]],
+    ]
+    assert dumps_report(doc) == reference_dumps(doc)
+
+
+@st.composite
+def aliased_docs(draw):
+    """A document built from a few drawn sub-objects, each reachable from many places."""
+    pool = draw(st.lists(st.one_of(st.lists(SCALARS, min_size=1, max_size=3), JSON_DOCS), min_size=1, max_size=4))
+    shapes = st.recursive(
+        st.sampled_from(pool),  # the pooled objects themselves, not copies
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(KEYS, inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+    return draw(st.lists(shapes, min_size=2, max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(doc=aliased_docs())
+def test_dumps_report_matches_json_indent_2_on_aliased_documents(doc):
+    assert dumps_report(doc) == reference_dumps(doc)
+
+
 @pytest.mark.parametrize(
     "doc",
     [{(1, 2): 0}, object(), [1, object()], {"k": np.int64(1)}, np.int64(1), {"a": {1: {frozenset(): 1}}}],
