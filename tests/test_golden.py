@@ -30,11 +30,14 @@ CASES = {
     "distinguish.csv": ["distinguish", "machine_a.json", "machine_b.json", "--format", "table"],
     "distinguish_equivalent.json": ["distinguish", "machine_a.json", "machine_padded.json"],
     "minimize.json": ["minimize", "machine_padded.json"],
+    "minimize.csv": ["minimize", "machine_padded.json", "--format", "table"],
     "chsh.json": ["chsh"],
     "chsh.csv": ["chsh", "--format", "table"],
     "chsh_samples.json": ["chsh", "--samples", "50"],
     "ks.json": ["ks"],
+    "ks.csv": ["ks", "--format", "table"],
     "noclone.json": ["noclone"],
+    "noclone.csv": ["noclone", "--format", "table"],
     "exchange.json": ["exchange"],
     "exchange.csv": ["exchange", "--format", "table"],
     "geiger.json": ["geiger"],
