@@ -102,9 +102,10 @@ def _table_text(header, rows) -> str:
 
 
 def _finish(args, command: str, inputs: dict, results: dict, checks: dict, table) -> int:
+    """Write the report, or for ``--format table`` the ``(header, rows)`` that
+    ``table()`` builds, and return the exit code the checks give."""
     if args.format == "table":
-        header, rows = table
-        text = _table_text(header, rows)
+        text = _table_text(*table())
     else:
         report = {
             "command": command,
@@ -122,27 +123,38 @@ def _finish(args, command: str, inputs: dict, results: dict, checks: dict, table
     return 0 if all(checks.values()) else 1
 
 
-_EXPERIMENT_HEADER = ["word", "position", "output_a", "output_b"]
-
-
-def _experiment_rows(experiment, outputs_a, outputs_b):
-    """One table row per output position of each word, from outputs already run."""
-    return [
+def _experiment_table(results: dict):
+    """One table row per output position of each word of the results' separating
+    experiment; no rows when there is none."""
+    words = results["separating_experiment"] or []
+    rows = [
         [_word_text(word), pos, x, y]
-        for word, oa, ob in zip(experiment.words, outputs_a, outputs_b)
+        for word, oa, ob in zip(words, results.get("outputs_a", ()), results.get("outputs_b", ()))
         for pos, (x, y) in enumerate(zip(oa, ob))
     ]
+    return ["word", "position", "output_a", "output_b"], rows
 
 
-def _witness_block(pair, outputs_a, outputs_b) -> dict:
-    """``pair``'s two machines, the experiment separating them and their outputs."""
-    return {
+def _witness(trace: Trace) -> tuple[dict, dict]:
+    """The results block and the four checks of ``trace``'s witness pair: its two
+    machines, the experiment separating them and their outputs on it."""
+    pair = witness_moore(trace)
+    outputs_a = run_experiment(pair.machine_a, pair.separating)
+    outputs_b = run_experiment(pair.machine_b, pair.separating)
+    results = {
         "machine_a": machine_to_dict(pair.machine_a),
         "machine_b": machine_to_dict(pair.machine_b),
         "separating_experiment": [list(w) for w in pair.separating.words],
-        "outputs_a": [list(o) for o in outputs_a],
-        "outputs_b": [list(o) for o in outputs_b],
+        "outputs_a": outputs_a,
+        "outputs_b": outputs_b,
     }
+    checks = {
+        "machine_a_consistent": consistent(pair.machine_a, trace),
+        "machine_b_consistent": consistent(pair.machine_b, trace),
+        "machines_inequivalent": not equivalent(pair.machine_a, pair.machine_b),
+        "experiment_separates": outputs_a != outputs_b,
+    }
+    return results, checks
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +163,24 @@ def _witness_block(pair, outputs_a, outputs_b) -> dict:
 
 def cmd_witness(args) -> int:
     trace, echo = _load_trace(args)
-    pair = witness_moore(trace)
-    outputs_a = run_experiment(pair.machine_a, pair.separating)
-    outputs_b = run_experiment(pair.machine_b, pair.separating)
-    results = _witness_block(pair, outputs_a, outputs_b)
-    checks = {
-        "machine_a_consistent": consistent(pair.machine_a, trace),
-        "machine_b_consistent": consistent(pair.machine_b, trace),
-        "machines_inequivalent": not equivalent(pair.machine_a, pair.machine_b),
-        "experiment_separates": outputs_a != outputs_b,
-    }
-    table = (_EXPERIMENT_HEADER, _experiment_rows(pair.separating, outputs_a, outputs_b))
-    return _finish(args, "witness", echo, results, checks, table)
+    results, checks = _witness(trace)
+    return _finish(args, "witness", echo, results, checks, lambda: _experiment_table(results))
 
 
-def _row_reproduces(row: dict, trace: Trace) -> bool:
+def _row_reproduces(row: dict, trace: Trace, columns: dict | None = None) -> bool:
     """True iff the machine document ``row`` emits the trace's outputs on its inputs,
-    replayed on the row's own ``delta`` and ``lambda``."""
-    column = {sym: i for i, sym in enumerate(row["inputs"])}
+    replayed on the row's own ``delta`` and ``lambda``.
+
+    ``columns`` caches the ``{symbol: column}`` map of each ``inputs`` list by the
+    list's identity, so rows that share one list build the map once.
+    """
+    inputs = row["inputs"]
+    if columns is None:
+        columns = {}
+    if id(inputs) not in columns:
+        # the entry holds the list, so no other list takes its id while the cache lives
+        columns[id(inputs)] = (inputs, {sym: i for i, sym in enumerate(inputs)})
+    column = columns[id(inputs)][1]
     delta, lam = row["delta"], row["lambda"]
     state = row["initial"]
     emitted = [lam[state]]
@@ -196,12 +208,16 @@ def cmd_enumerate(args) -> int:
         "machines": rows,
     }
     tally = [c["count"] for c in counts]
+    columns = {}
     checks = {
         "counts_nondecreasing": all(x <= y for x, y in zip(tally, tally[1:])),
-        "all_consistent": all(_row_reproduces(row, trace) for row in rows),
+        "all_consistent": all(_row_reproduces(row, trace, columns) for row in rows),
         "all_within_bound": all(row["states"] <= args.max_states for row in rows),
     }
-    table = (["max_states", "count"], [[c["max_states"], c["count"]] for c in counts])
+
+    def table():
+        return ["max_states", "count"], [[c["max_states"], c["count"]] for c in counts]
+
     return _finish(args, "enumerate", echo, results, checks, table)
 
 
@@ -212,19 +228,16 @@ def cmd_distinguish(args) -> int:
     same = experiment is None
     results = {"equivalent": same, "separating_experiment": None}
     separated = False
-    rows = []
     if not same:
         outputs_a = run_experiment(machine_a, experiment)
         outputs_b = run_experiment(machine_b, experiment)
         results["separating_experiment"] = [list(w) for w in experiment.words]
-        results["outputs_a"] = [list(o) for o in outputs_a]
-        results["outputs_b"] = [list(o) for o in outputs_b]
+        results["outputs_a"] = outputs_a
+        results["outputs_b"] = outputs_b
         separated = outputs_a != outputs_b
-        rows = _experiment_rows(experiment, outputs_a, outputs_b)
     echo = {"machine_a": str(args.machine_a), "machine_b": str(args.machine_b)}
     checks = {"experiment_iff_inequivalent": same or separated}
-    table = (_EXPERIMENT_HEADER, rows)
-    return _finish(args, "distinguish", echo, results, checks, table)
+    return _finish(args, "distinguish", echo, results, checks, lambda: _experiment_table(results))
 
 
 def cmd_minimize(args) -> int:
@@ -241,7 +254,10 @@ def cmd_minimize(args) -> int:
         "idempotent": minimize(small) == small,
         "never_grows": small.state_count <= machine.state_count,
     }
-    table = (["states_before", "states_after"], [[machine.state_count, small.state_count]])
+
+    def table():
+        return ["states_before", "states_after"], [[machine.state_count, small.state_count]]
+
     return _finish(args, "minimize", echo, results, checks, table)
 
 

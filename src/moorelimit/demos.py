@@ -13,17 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .cli import _finish, _witness_block
+from .cli import _finish, _witness
 from .machines import Trace, _quoted
 from .nogo import (
     CHSH_TERMS,
     ChshSetting,
     chsh_sum,
     chsh_value,
-    clone_inference_report,
     correlator,
     kochen_specker_check,
-    lhv_chsh_bound,
+    lhv_chsh_table,
     measurement_axis,
     no_cloning_gap,
     singlet,
@@ -32,7 +31,6 @@ from .observer import (
     DetectorConfig,
     ObserverModel,
     SourceConfig,
-    exchange_witness,
     expected_count_rate,
     geiger_outcome,
     indistinguishable,
@@ -243,7 +241,7 @@ def cmd_chsh(args) -> int:
             state, state_echo = custom_state, "custom"
     setting = ChshSetting(state=state, **angles)
     s_value = chsh_value(setting)
-    lhv = lhv_chsh_bound()
+    lhv_max = max(abs(v) for v in lhv_chsh_table().values())
 
     correlators = {
         name: correlator(state, angles[x], angles[y]) for name, x, y, _ in CHSH_TERMS
@@ -253,15 +251,15 @@ def cmd_chsh(args) -> int:
         "correlators": correlators,
         "S": s_value,
         "abs_S": abs(s_value),
-        "lhv_max": lhv.max_abs,
+        "lhv_max": lhv_max,
         "tsirelson": TSIRELSON,
         "verdict": (
-            "quantum exceeds LHV" if abs(s_value) > lhv.max_abs + args.tol else "within LHV bound"
+            "quantum exceeds LHV" if abs(s_value) > lhv_max + args.tol else "within LHV bound"
         ),
     }
     checks = {
         "within_tsirelson": abs(s_value) <= TSIRELSON + args.tol,
-        "lhv_max_is_two": lhv.max_abs == 2,
+        "lhv_max_is_two": lhv_max == 2,
     }
     is_singlet = bool(np.max(np.abs(state.matrix - singlet().matrix)) <= 1e-12)
     if is_singlet:
@@ -283,8 +281,7 @@ def cmd_chsh(args) -> int:
             "S_error": abs(s_estimate - s_value),
         }
 
-    table = None
-    if args.format == "table":
+    def table():
         sweep_rows = []
         for k in range(100):
             theta = 2.0 * math.pi * k / 100.0
@@ -292,7 +289,7 @@ def cmd_chsh(args) -> int:
                 a=0.0, a_prime=math.pi / 2.0, b=theta, b_prime=theta + math.pi / 2.0, state=state
             )
             sweep_rows.append([0.0, math.pi / 2.0, theta, theta + math.pi / 2.0, chsh_value(sweep)])
-        table = (["a", "a_prime", "b", "b_prime", "S"], sweep_rows)
+        return ["a", "a_prime", "b", "b_prime", "S"], sweep_rows
 
     echo = {"config": str(args.config) if args.config else "(default)", "state": state_echo}
     return _finish(args, "chsh", echo, results, checks, table)
@@ -317,10 +314,12 @@ def cmd_ks(args) -> int:
         "col_signs_plus_plus_minus": report.col_signs == (1, 1, -1),
         "no_classical_assignment": report.satisfying_assignments == 0,
     }
-    table = (
-        ["row", "col", "label"],
-        [[r, c, report.labels[r][c]] for r in range(3) for c in range(3)],
-    )
+
+    def table():
+        return ["row", "col", "label"], [
+            [r, c, report.labels[r][c]] for r in range(3) for c in range(3)
+        ]
+
     echo = {"square": "peres-mermin"}
     return _finish(args, "ks", echo, results, checks, table)
 
@@ -366,20 +365,22 @@ def cmd_noclone(args) -> int:
         checks["orthogonal_gap_zero"] = abs(gap_by_name["orthogonal"]) <= args.tol
         checks["overlap_0.6_gap_0.24"] = abs(gap_by_name["overlap_0.6"] - 0.24) <= args.tol
 
-        analogue = clone_inference_report(Trace((0, 1)))
+        # the machine-level analogue: the witness pair of the record 0,1
+        trace = Trace((0, 1))
+        witness, held = _witness(trace)
+        records_identical = held["machine_a_consistent"] and held["machine_b_consistent"]
+        machines_equivalent = not held["machines_inequivalent"]
         results["classical_analogue"] = {
-            "trace": list(analogue.trace.outputs),
-            **_witness_block(analogue, analogue.outputs_a, analogue.outputs_b),
-            "records_identical": analogue.records_identical,
-            "machines_equivalent": analogue.machines_equivalent,
+            "trace": list(trace.outputs),
+            **witness,
+            "records_identical": records_identical,
+            "machines_equivalent": machines_equivalent,
         }
-        checks["classical_witness_separates"] = (
-            analogue.records_identical and not analogue.machines_equivalent
-        )
-    table = (
-        ["pair", "overlap", "gap"],
-        [[row["name"], row["overlap"], row["gap"]] for row in pair_rows],
-    )
+        checks["classical_witness_separates"] = records_identical and not machines_equivalent
+
+    def table():
+        return ["pair", "overlap", "gap"], [[r["name"], r["overlap"], r["gap"]] for r in pair_rows]
+
     echo = {"config": str(args.config) if args.config else "(default)"}
     return _finish(args, "noclone", echo, results, checks, table)
 
@@ -447,22 +448,24 @@ def cmd_exchange(args) -> int:
     names, sources, detector, observer, densities = scenario_from_dict(doc, args.config)
     if len(sources) != 2:
         raise ParseError("exchange compares exactly two sources")
-    report = exchange_witness(sources[0], sources[1], detector)
+    rows = _source_rows(names, sources, detector)
+    records_equal = rows[0]["outcome"] == rows[1]["outcome"]
+    configs_identical = sources[0] == sources[1]
 
     results = {
-        "sources": _source_rows(names, sources, detector),
+        "sources": rows,
         "detector": detector_to_dict(detector),
-        "records_equal": report.records_equal,
-        "configs_identical": report.configs_identical,
+        "records_equal": records_equal,
+        "configs_identical": configs_identical,
         "verdict": (
             "records carry no trace of the exchange"
-            if report.records_equal and not report.configs_identical
+            if records_equal and not configs_identical
             else "records distinguish the configurations"
         ),
     }
     checks = {
-        "records_equal": report.records_equal,
-        "configs_distinct": not report.configs_identical,
+        "records_equal": records_equal,
+        "configs_distinct": not configs_identical,
     }
     if observer is not None and len(densities) == 2:
         rho_a, rho_b = densities
@@ -484,9 +487,8 @@ def cmd_exchange(args) -> int:
         }
         checks["statistics_indistinguishable"] = comparison.indistinguishable
 
-    table = _source_table(results["sources"])
     echo = {"config": str(args.config) if args.config else "(default)"}
-    return _finish(args, "exchange", echo, results, checks, table)
+    return _finish(args, "exchange", echo, results, checks, lambda: _source_table(rows))
 
 
 def cmd_geiger(args) -> int:
@@ -515,6 +517,5 @@ def cmd_geiger(args) -> int:
     checks = {"within_saturation": all(o <= detector.saturation for o in outcomes)}
     if len(rows) > 1:
         checks["outcomes_all_equal"] = results["outcomes_equal"]
-    table = _source_table(rows)
     echo = {"config": str(args.config) if args.config else "(default)"}
-    return _finish(args, "geiger", echo, results, checks, table)
+    return _finish(args, "geiger", echo, results, checks, lambda: _source_table(rows))

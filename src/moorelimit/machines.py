@@ -244,17 +244,22 @@ def distinguishing_experiment(a: Machine, b: Machine) -> Experiment | None:
     _require_shared_alphabets(a, b)
     b_index = b._input_index
     start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([(start, ())])
+    parent = {start: None}  # state pair -> (the pair it was first reached from, input)
+    queue = deque([start])
     while queue:
-        (s, t), word = queue.popleft()
+        pair = queue.popleft()
+        s, t = pair
         if a.output[s] != b.output[t]:
-            return Experiment((word,))
+            word = []
+            while parent[pair] is not None:
+                pair, sym = parent[pair]
+                word.append(sym)
+            return Experiment((word[::-1],))
         for i, sym in enumerate(a.input_alphabet):
-            pair = (a.transition[s][i], b.transition[t][b_index[sym]])
-            if pair not in seen:
-                seen.add(pair)
-                queue.append((pair, word + (sym,)))
+            successor = (a.transition[s][i], b.transition[t][b_index[sym]])
+            if successor not in parent:
+                parent[successor] = (pair, sym)
+                queue.append(successor)
     return None
 
 

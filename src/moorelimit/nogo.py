@@ -16,17 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machines import (
-    Experiment,
-    Machine,
-    Symbol,
-    Trace,
-    WitnessPair,
-    consistent,
-    equivalent,
-    run_experiment,
-    witness_moore,
-)
 from .quantum import (
     DensityOperator,
     PAULI_X,
@@ -95,46 +84,15 @@ def chsh_value(setting: ChshSetting) -> float:
     return chsh_sum(lambda _, x, y: correlator(st, getattr(setting, x), getattr(setting, y)))
 
 
-@dataclass(frozen=True)
-class LhvStrategy:
-    """Deterministic +-1 outcomes pre-assigned to the four settings."""
-
-    a: int
-    a_prime: int
-    b: int
-    b_prime: int
-
-    def __post_init__(self):
-        for v in (self.a, self.a_prime, self.b, self.b_prime):
-            if v not in (1, -1):
-                raise ValueError("strategy values must be +1 or -1")
-
-    def chsh(self) -> int:
-        return chsh_sum(lambda _, x, y: getattr(self, x) * getattr(self, y))
-
-
-@dataclass(frozen=True)
-class LhvSearchResult:
-    """Exhaustive table of all 16 deterministic strategies."""
-
-    max_abs: int
-    table: tuple[tuple[LhvStrategy, int], ...]
-
-    @property
-    def achievers_plus_two(self) -> tuple[LhvStrategy, ...]:
-        return tuple(s for s, v in self.table if v == 2)
-
-
-def lhv_chsh_bound() -> LhvSearchResult:
-    """Enumerate every deterministic local strategy; integer arithmetic throughout."""
-    table = []
-    for a, ap, b, bp in itertools.product((1, -1), repeat=4):
-        strategy = LhvStrategy(a, ap, b, bp)
-        table.append((strategy, strategy.chsh()))
-    return LhvSearchResult(
-        max_abs=max(abs(v) for _, v in table),
-        table=tuple(table),
-    )
+def lhv_chsh_table() -> dict[tuple[int, int, int, int], int]:
+    """S for each of the 16 deterministic local strategies, keyed by the +-1 outcomes
+    ``(a, a_prime, b, b_prime)`` it pre-assigns to the four settings; integer arithmetic
+    throughout."""
+    table = {}
+    for values in itertools.product((1, -1), repeat=4):
+        outcome = dict(zip(("a", "a_prime", "b", "b_prime"), values))
+        table[values] = chsh_sum(lambda _, x, y: outcome[x] * outcome[y])
+    return table
 
 
 # Two-qubit Pauli products: rows multiply to +I, the third column to -I.
@@ -222,40 +180,3 @@ def no_cloning_gap(psi: StateVector, phi: StateVector) -> float:
     """
     v = abs(overlap(psi, phi))
     return v - v * v
-
-
-@dataclass(frozen=True)
-class CloneInferenceReport:
-    """Classical no-cloning analogue: record-identical machines that are not copies.
-
-    Both machines reproduce the trace, so no finite record certifies one as a
-    clone of the other; the separating experiment is a future on which their
-    dynamics diverge.
-    """
-
-    trace: Trace
-    machine_a: Machine
-    machine_b: Machine
-    separating: Experiment
-    outputs_a: tuple[tuple[Symbol, ...], ...]
-    outputs_b: tuple[tuple[Symbol, ...], ...]
-    records_identical: bool
-    machines_equivalent: bool
-
-
-def clone_inference_report(trace: Trace) -> CloneInferenceReport:
-    """Build the record-identical-yet-distinguishable witness for a trace."""
-    pair: WitnessPair = witness_moore(trace)
-    outputs_a = tuple(tuple(o) for o in run_experiment(pair.machine_a, pair.separating))
-    outputs_b = tuple(tuple(o) for o in run_experiment(pair.machine_b, pair.separating))
-    records_identical = consistent(pair.machine_a, trace) and consistent(pair.machine_b, trace)
-    return CloneInferenceReport(
-        trace=trace,
-        machine_a=pair.machine_a,
-        machine_b=pair.machine_b,
-        separating=pair.separating,
-        outputs_a=outputs_a,
-        outputs_b=outputs_b,
-        records_identical=records_identical,
-        machines_equivalent=equivalent(pair.machine_a, pair.machine_b),
-    )

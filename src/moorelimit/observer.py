@@ -100,19 +100,6 @@ class StatisticsComparison:
     at_label: Union[str, int]
 
 
-@dataclass(frozen=True)
-class ExchangeReport:
-    """Two source configurations seen through one detector."""
-
-    source_a: SourceConfig
-    source_b: SourceConfig
-    detector: DetectorConfig
-    outcome_a: int
-    outcome_b: int
-    records_equal: bool
-    configs_identical: bool
-
-
 def lift_povm(povm: Povm, extra_dim: int) -> Povm:
     """Extend each effect as E -> E tensor I over degrees of freedom the POVM ignores.
 
@@ -206,24 +193,3 @@ def sample_geiger_counts(
     """Illustrative Poisson-sampled counts, clamped at saturation."""
     rate = expected_count_rate(source, detector)
     return [min(int(k), detector.saturation) for k in rng.poisson(rate, size=n_samples)]
-
-
-def exchange_witness(
-    config_a: SourceConfig, config_b: SourceConfig, detector: DetectorConfig
-) -> ExchangeReport:
-    """Compare the records two source configurations leave on one detector.
-
-    Equal records from distinct configurations exhibit the exchange symmetry:
-    nothing in the observer's data says which physical configuration produced it.
-    """
-    outcome_a = geiger_outcome(config_a, detector)
-    outcome_b = geiger_outcome(config_b, detector)
-    return ExchangeReport(
-        source_a=config_a,
-        source_b=config_b,
-        detector=detector,
-        outcome_a=outcome_a,
-        outcome_b=outcome_b,
-        records_equal=outcome_a == outcome_b,
-        configs_identical=config_a == config_b,
-    )

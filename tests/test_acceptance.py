@@ -30,7 +30,7 @@ from moorelimit.nogo import (
     chsh_value,
     correlator,
     kochen_specker_check,
-    lhv_chsh_bound,
+    lhv_chsh_table,
     no_cloning_gap,
     singlet,
 )
@@ -152,7 +152,7 @@ def test_criterion_4_chsh():
         a=0.0, a_prime=math.pi / 2.0, b=math.pi / 4.0, b_prime=3.0 * math.pi / 4.0, state=singlet()
     )
     s_value = chsh_value(setting)
-    lhv = lhv_chsh_bound()
+    lhv = list(lhv_chsh_table().values())
     grid_dev = max(
         abs(correlator(singlet(), x, y) - (-math.cos(x - y)))
         for x in (2.0 * math.pi * i / 10.0 for i in range(10))
@@ -161,8 +161,9 @@ def test_criterion_4_chsh():
     elapsed = time.perf_counter() - start
     ok = (
         abs(s_value - (-TSIRELSON)) <= 1e-9
-        and lhv.max_abs == 2
-        and len(lhv.achievers_plus_two) == 8
+        and len(lhv) == 16
+        and set(lhv) == {-2, 2}
+        and lhv.count(2) == 8
         and grid_dev <= 1e-9
         and elapsed < 1.0
     )
@@ -171,7 +172,7 @@ def test_criterion_4_chsh():
         ok,
         f"S={s_value:.12f}, grid dev={grid_dev:.2e}, {elapsed:.3f}s < 1s",
     )
-    assert ok, (s_value, lhv.max_abs, len(lhv.achievers_plus_two), grid_dev, elapsed)
+    assert ok, (s_value, lhv, grid_dev, elapsed)
 
 
 def test_criterion_5_kochen_specker():

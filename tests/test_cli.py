@@ -618,6 +618,34 @@ def test_exchange_default(capsys):
     assert all(report["checks"].values())
 
 
+@pytest.mark.parametrize(
+    "second, code, outcomes, records_equal, configs_identical",
+    [
+        ({"activity": 1.48e7, "distance": 200.0}, 0, [1, 1], True, False),  # the stock far source
+        ({"activity": 3.7e6, "distance": 100.0}, 1, [1, 1], True, True),  # the near source again
+        ({"activity": 3.7e6, "distance": 300.0}, 1, [1, 0], False, False),  # too far for a count
+    ],
+    ids=["exchanged", "identical", "unequal"],
+)
+def test_exchange_compares_records_and_configs(
+    capsys, tmp_path, second, code, outcomes, records_equal, configs_identical
+):
+    config = write_json(
+        tmp_path / "pair.json",
+        {
+            "sources": {"near": {"activity": 3.7e6, "distance": 100.0}, "other": second},
+            "detector": {"aperture_diameter": 2.0, "efficiency": 0.008, "saturation": 100},
+        },
+    )
+    exit_code, report = run_report(capsys, ["exchange", "--config", config])
+    assert exit_code == code
+    results = report["results"]
+    assert [row["outcome"] for row in results["sources"]] == outcomes
+    assert results["records_equal"] is records_equal
+    assert results["configs_identical"] is configs_identical
+    assert report["checks"] == {"records_equal": records_equal, "configs_distinct": not configs_identical}
+
+
 def test_exchange_distinguishable_sources_exit_1(capsys, tmp_path):
     config = write_json(
         tmp_path / "unequal.json",

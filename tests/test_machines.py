@@ -209,6 +209,32 @@ def test_distinguishing_word_is_minimal():
     assert found > 50
 
 
+def first_separating_word(a, b):
+    """The first word in (length, input-alphabet) order on which a and b disagree,
+    tried up to Moore's bound |a| + |b| - 2, or None if none of them does."""
+    for length in range(a.state_count + b.state_count - 1):
+        for word in itertools.product(a.input_alphabet, repeat=length):
+            if run(a, word) != run(b, word):
+                return word
+    return None
+
+
+def test_distinguishing_word_matches_brute_force():
+    rng = random.Random(29)
+    separated = 0
+    for _ in range(200):
+        a = random_machine(rng, n_inputs=2, n_outputs=2)
+        b = random_machine(rng, n_inputs=2, n_outputs=2)
+        expected = first_separating_word(a, b)
+        exp = distinguishing_experiment(a, b)
+        if expected is None:
+            assert exp is None
+        else:
+            separated += 1
+            assert exp == Experiment((expected,))
+    assert separated > 50
+
+
 # ---------------------------------------------------------------------------
 # minimization / canonical forms
 

@@ -4,15 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from moorelimit.machines import Trace
 from moorelimit.nogo import (
     ChshSetting,
-    LhvStrategy,
     chsh_value,
-    clone_inference_report,
     correlator,
     kochen_specker_check,
-    lhv_chsh_bound,
+    lhv_chsh_table,
     measurement_axis,
     no_cloning_gap,
     singlet,
@@ -117,20 +114,18 @@ def test_chsh_rejects_non_finite_angle():
         ChshSetting(a=math.nan, a_prime=0.0, b=0.0, b_prime=0.0, state=singlet())
 
 
-def test_lhv_bound_is_two_with_eight_achievers():
-    result = lhv_chsh_bound()
-    assert result.max_abs == 2
-    assert len(result.table) == 16
-    values = [v for _, v in result.table]
+def test_lhv_table_is_plus_or_minus_two_with_eight_achievers():
+    table = lhv_chsh_table()
+    assert sorted(table) == sorted(itertools.product((1, -1), repeat=4))
+    values = list(table.values())
     assert set(values) == {-2, 2}
     assert values.count(2) == 8
-    assert len(result.achievers_plus_two) == 8
+    assert max(abs(v) for v in values) == 2
 
 
-def test_lhv_strategy_validation():
-    with pytest.raises(ValueError):
-        LhvStrategy(a=0, a_prime=1, b=1, b_prime=1)
-    assert LhvStrategy(a=1, a_prime=-1, b=1, b_prime=1).chsh() == -2
+def test_lhv_table_value_of_one_strategy():
+    # a=1, a'=-1, b=1, b'=1: S = 1 - 1 + (-1) + (-1)
+    assert lhv_chsh_table()[(1, -1, 1, 1)] == -2
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +222,3 @@ def test_gap_positive_for_generic_pairs_and_maximal_at_half():
     assert max(gaps) <= 0.25
     half = StateVector(np.array([0.5, math.sqrt(3.0) / 2.0]))
     assert no_cloning_gap(basis_state(2, 0), half) == pytest.approx(0.25)
-
-
-def test_clone_inference_report_on_two_step_trace():
-    report = clone_inference_report(Trace((0, 1)))
-    assert report.records_identical
-    assert not report.machines_equivalent
-    assert report.separating.words == (("a", "a"),)
-    assert report.outputs_a == ((0, 1, 1),)
-    assert report.outputs_b == ((0, 1, 0),)
-
-
-def test_clone_inference_report_random_traces():
-    rng = np.random.default_rng(79)
-    for _ in range(25):
-        outputs = tuple(int(x) for x in rng.integers(0, 2, size=rng.integers(1, 7)))
-        report = clone_inference_report(Trace(outputs, output_alphabet=(0, 1)))
-        assert report.records_identical
-        assert not report.machines_equivalent
-        assert report.outputs_a != report.outputs_b

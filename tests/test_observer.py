@@ -8,7 +8,6 @@ from moorelimit.observer import (
     ObserverModel,
     SourceConfig,
     StructureError,
-    exchange_witness,
     expected_count_rate,
     geiger_outcome,
     indistinguishable,
@@ -165,24 +164,6 @@ def test_sampled_counts_clamped_and_deterministic():
     assert len(counts) == 200
     assert all(0 <= c <= 50 for c in counts)
     assert max(counts) == 50  # mean rate is far above saturation
-
-
-def test_exchange_witness_on_stock_pair():
-    report = exchange_witness(NEAR, FAR, STOCK_DETECTOR)
-    assert report.records_equal
-    assert not report.configs_identical
-    assert report.outcome_a == report.outcome_b == 1
-
-
-def test_exchange_witness_identical_configs():
-    report = exchange_witness(NEAR, SourceConfig(3.7e6, 100.0), STOCK_DETECTOR)
-    assert report.configs_identical
-    assert report.records_equal
-
-
-def test_exchange_witness_detects_unequal_records():
-    report = exchange_witness(NEAR, SourceConfig(3.7e6, 300.0), STOCK_DETECTOR)
-    assert not report.records_equal
 
 
 # ---------------------------------------------------------------------------
