@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from moorelimit import (
     Experiment,
     Machine,
     Trace,
+    WitnessPair,
     canonical_form,
     consistent,
     distinguishing_experiment,
@@ -382,6 +384,153 @@ def test_trace_must_be_nonempty():
 def test_experiment_must_hold_a_word():
     with pytest.raises(ValueError):
         Experiment(())
+
+
+# ---------------------------------------------------------------------------
+# value semantics: equality, hashing and repr over the fields, no assignment
+
+
+def value_cases():
+    """(value, an equal value, an unequal value, its field names, its field
+    values, its repr) for each of the four value classes."""
+    m = toggle()
+    c = constant()
+    sep = Experiment((("a",),))
+    return [
+        (
+            m,
+            Machine(2, ["a"], [0, 1], [[1], [0]], [0, 1]),
+            Machine(2, ("a",), (0, 1), ((1,), (0,)), (0, 1), initial=1),
+            ("state_count", "input_alphabet", "output_alphabet", "transition", "output", "initial"),
+            (2, ("a",), (0, 1), ((1,), (0,)), (0, 1), 0),
+            "Machine(state_count=2, input_alphabet=('a',), output_alphabet=(0, 1), "
+            "transition=((1,), (0,)), output=(0, 1), initial=0)",
+        ),
+        (
+            Trace((0, 1), ("b",), (0, 1), ("a", "b")),
+            Trace([0, 1], ["b"], [0, 1], ["a", "b"]),
+            Trace((0, 1), ("b",), (0, 1)),
+            ("outputs", "inputs", "output_alphabet", "input_alphabet"),
+            ((0, 1), ("b",), (0, 1), ("a", "b")),
+            "Trace(outputs=(0, 1), inputs=('b',), output_alphabet=(0, 1), input_alphabet=('a', 'b'))",
+        ),
+        (
+            Experiment((("a", "b"), ())),
+            Experiment([["a", "b"], []]),
+            Experiment((("a",),)),
+            ("words",),
+            ((("a", "b"), ()),),
+            "Experiment(words=(('a', 'b'), ()))",
+        ),
+        (
+            WitnessPair(c, m, sep),
+            WitnessPair(machine_a=constant(), machine_b=toggle(), separating=Experiment([["a"]])),
+            WitnessPair(m, c, sep),
+            ("machine_a", "machine_b", "separating"),
+            (c, m, sep),
+            f"WitnessPair(machine_a={c!r}, machine_b={m!r}, separating={sep!r})",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", value_cases(), ids=lambda case: type(case[0]).__name__)
+def test_value_semantics(case):
+    value, same, other, names, fields, text = case
+    assert value == same and not value != same
+    assert value != other and not value == other
+    assert value != fields and value != object()
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert hash(value) == hash(same) == hash(fields)
+    assert repr(value) == text
+    assert copy.deepcopy(value) == value
+    assert copy.copy(value) == value
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+
+
+def test_value_refuses_a_new_attribute():
+    with pytest.raises(AttributeError):
+        toggle().extra = 1
+
+
+def test_trace_alphabets_stay_out_of_equality_and_repr():
+    declared = Trace((0, 1), output_alphabet=(1, 0))
+    recorded = Trace((0, 1))
+    assert declared.alphabets == ((1, 0), ("a",))
+    assert recorded.alphabets == ((0, 1), ("a",))
+    assert Trace((1, 0)).alphabets == ((1, 0), ("a",))
+    assert "alphabets=" not in repr(declared)
+    # equal fields, equal traces, whatever resolves the alphabets
+    assert Trace((0, 1), ("a",)) == recorded
+    assert hash(Trace((0, 1), ("a",))) == hash(recorded)
+    with pytest.raises(AttributeError):
+        recorded.alphabets = declared.alphabets
+
+
+def test_machine_from_lists_equals_machine_from_tuples():
+    tuples = Machine(2, ("a", "b"), (0, 1), ((1, 0), (0, 1)), (0, 1), 1)
+    assert Machine(2, ["a", "b"], [0, 1], [[1, 0], [0, 1]], [0, 1], 1) == tuples
+    assert Machine(
+        state_count=2,
+        input_alphabet=["a", "b"],
+        output_alphabet=[0, 1],
+        transition=[[1, 0], [0, 1]],
+        output=[0, 1],
+        initial=1,
+    ) == tuples
+    assert Machine(2, ["a", "b"], [0, 1], transition=[[1, 0], [0, 1]], output=[0, 1], initial=1) == tuples
+    assert Machine(2, ("a", "b"), (0, 1), ((1, 0), (0, 1)), (0, 1)).initial == 0
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((1, ("a", "a"), (0,), ((0, 0),), (0,)), ValueError, "duplicate symbol 'a' in input alphabet"),
+        ((1, ("a",), (), ((0,),), (0,)), ValueError, "output alphabet must be nonempty"),
+        ((True, ("a",), (0,), ((0,),), (0,)), ValueError, "state_count must be an integer >= 1, got True"),
+        ((2, ("a",), (0,), ((0,),), (0, 0)), ValueError, "transition table must have one row per state"),
+        ((1, ("a", "b"), (0,), ((0,),), (0,)), ValueError, "transition row 0 must cover the input alphabet"),
+        ((1, ("a",), (0,), ((1,),), (0,)), ValueError, "transition target 1 out of range in state 0"),
+        ((1, ("a",), (0,), ((0,),), ()), ValueError, "output map must cover every state"),
+        ((1, ("a",), (0,), ((0,),), (1,)), AlphabetError, "output 1 of state 0 not in output alphabet"),
+        ((1, ("a",), (0,), ((0,),), (0,), 1), ValueError, "initial state 1 out of range"),
+        # the alphabets are checked before the state count, the count before the table
+        ((0, ("a", "a"), (0,), (), ()), ValueError, "duplicate symbol 'a' in input alphabet"),
+        ((0, ("a",), (0,), ((5,),), ()), ValueError, "state_count must be an integer >= 1, got 0"),
+    ],
+)
+def test_machine_rejection_messages(args, error, message):
+    with pytest.raises(error) as caught:
+        Machine(*args)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, error, message",
+    [
+        (((),), {}, ValueError, "a trace records at least one outcome"),
+        (((0, 1, 0), ("a",)), {}, ValueError, "trace with 3 outputs needs 2 inputs, got 1"),
+        (((0, 1),), {"output_alphabet": (0, 0)}, ValueError, "duplicate symbol 0 in output alphabet"),
+        (((0, 2),), {"output_alphabet": (0, 1)}, AlphabetError, "trace output 2 not in alphabet (0, 1)"),
+        (((0, 1), ("b",)), {"input_alphabet": ("a",)}, AlphabetError, "trace input 'b' not in alphabet ('a',)"),
+        # outputs are checked before inputs
+        (((0, 2), ("b",)), {"output_alphabet": (0, 1), "input_alphabet": ("a",)}, AlphabetError,
+         "trace output 2 not in alphabet (0, 1)"),
+    ],
+)
+def test_trace_rejection_messages(args, kwargs, error, message):
+    with pytest.raises(error) as caught:
+        Trace(*args, **kwargs)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_experiment_rejection_message():
+    with pytest.raises(ValueError, match="^an experiment contains at least one word$"):
+        Experiment([])
 
 
 # ---------------------------------------------------------------------------
