@@ -17,8 +17,6 @@ fails, 2 for parse/config errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 
@@ -94,6 +92,9 @@ def _word_text(word) -> str:
 
 
 def _table_text(header, rows) -> str:
+    import csv  # only --format table needs it
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -13,13 +13,11 @@ with a minimal separating experiment.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence, Union
+from collections.abc import Iterable, Sequence
 
 from . import kernels
 
-Symbol = Union[str, int]
+Symbol = str | int
 Word = Sequence[Symbol]
 
 #: Input symbol used for autonomous observation records that carry no inputs.
@@ -56,57 +54,90 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class Machine:
+class _Value:
+    """An immutable value: equality, hashing and repr over the fields that
+    ``_fields`` names, in that order.  ``__init__`` stores every attribute in
+    ``__dict__``; assigning or deleting one afterwards raises AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Machine(_Value):
     """A deterministic finite state machine with per-state outputs.
 
     ``transition[s][i]`` is the successor of state ``s`` under the ``i``-th
     input-alphabet symbol; ``output[s]`` is the symbol emitted on entering
-    state ``s``.  Both maps are total.
+    state ``s``.  Both maps are total.  The alphabets, each row and the
+    output map are stored as tuples.
     """
 
-    state_count: int
-    input_alphabet: tuple[Symbol, ...]
-    output_alphabet: tuple[Symbol, ...]
-    transition: tuple[tuple[int, ...], ...]
-    output: tuple[Symbol, ...]
-    initial: int = 0
+    _fields = ("state_count", "input_alphabet", "output_alphabet", "transition", "output", "initial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_alphabet", _unique(self.input_alphabet, "input alphabet"))
-        object.__setattr__(self, "output_alphabet", _unique(self.output_alphabet, "output alphabet"))
-        object.__setattr__(self, "transition", tuple(tuple(row) for row in self.transition))
-        object.__setattr__(self, "output", tuple(self.output))
-        n = self.state_count
+    def __init__(
+        self,
+        state_count: int,
+        input_alphabet: Iterable[Symbol],
+        output_alphabet: Iterable[Symbol],
+        transition: Iterable[Iterable[int]],
+        output: Iterable[Symbol],
+        initial: int = 0,
+    ):
+        input_alphabet = _unique(input_alphabet, "input alphabet")
+        output_alphabet = _unique(output_alphabet, "output alphabet")
+        transition = tuple(tuple(row) for row in transition)
+        output = tuple(output)
+        n = state_count
         if not _is_int(n) or n < 1:
             raise ValueError(f"state_count must be an integer >= 1, got {_quoted(n)}")
-        if len(self.transition) != n:
+        if len(transition) != n:
             raise ValueError("transition table must have one row per state")
-        for s, row in enumerate(self.transition):
-            if len(row) != len(self.input_alphabet):
+        for s, row in enumerate(transition):
+            if len(row) != len(input_alphabet):
                 raise ValueError(f"transition row {s} must cover the input alphabet")
             for t in row:
                 if not (_is_int(t) and 0 <= t < n):
                     raise ValueError(f"transition target {_quoted(t)} out of range in state {s}")
-        if len(self.output) != n:
+        if len(output) != n:
             raise ValueError("output map must cover every state")
-        for s, sym in enumerate(self.output):
-            if sym not in self.output_alphabet:
+        for s, sym in enumerate(output):
+            if sym not in output_alphabet:
                 raise AlphabetError(f"output {_quoted(sym)} of state {s} not in output alphabet")
-        if not (_is_int(self.initial) and 0 <= self.initial < n):
-            raise ValueError(f"initial state {_quoted(self.initial)} out of range")
+        if not (_is_int(initial) and 0 <= initial < n):
+            raise ValueError(f"initial state {_quoted(initial)} out of range")
+        self.__dict__.update(
+            state_count=n,
+            input_alphabet=input_alphabet,
+            output_alphabet=output_alphabet,
+            transition=transition,
+            output=output,
+            initial=initial,
+            _input_index={sym: i for i, sym in enumerate(input_alphabet)},
+            _output_index={sym: i for i, sym in enumerate(output_alphabet)},
+        )
 
-    @cached_property
-    def _input_index(self) -> dict[Symbol, int]:
-        return {sym: i for i, sym in enumerate(self.input_alphabet)}
 
-    @cached_property
-    def _output_index(self) -> dict[Symbol, int]:
-        return {sym: i for i, sym in enumerate(self.output_alphabet)}
-
-
-@dataclass(frozen=True)
-class Trace:
+class Trace(_Value):
     """A finite record of observed outcome symbols, optionally with inputs.
 
     ``outputs`` holds the N recorded symbols; ``inputs`` holds the N-1 symbols
@@ -118,19 +149,21 @@ class Trace:
     recorded symbol.  ``alphabets`` is the resolved ``(outputs, inputs)`` pair
     the record is read over: a declaration, else the recorded symbols in
     first-occurrence order (``(DEFAULT_INPUT,)`` for a record with no inputs).
+    It is derived from the fields, so equality and repr leave it out.
     """
 
-    outputs: tuple[Symbol, ...]
-    inputs: tuple[Symbol, ...] | None = None
-    output_alphabet: tuple[Symbol, ...] | None = None
-    input_alphabet: tuple[Symbol, ...] | None = None
-    alphabets: tuple[tuple[Symbol, ...], tuple[Symbol, ...]] = field(init=False, repr=False, compare=False)
+    _fields = ("outputs", "inputs", "output_alphabet", "input_alphabet")
 
-    def __post_init__(self):
-        outputs = tuple(self.outputs)
+    def __init__(
+        self,
+        outputs: Iterable[Symbol],
+        inputs: Iterable[Symbol] | None = None,
+        output_alphabet: Iterable[Symbol] | None = None,
+        input_alphabet: Iterable[Symbol] | None = None,
+    ):
+        outputs = tuple(outputs)
         if len(outputs) < 1:
             raise ValueError("a trace records at least one outcome")
-        inputs = self.inputs
         if inputs is None:
             inputs = (DEFAULT_INPUT,) * (len(outputs) - 1)
         inputs = tuple(inputs)
@@ -138,49 +171,47 @@ class Trace:
             raise ValueError(
                 f"trace with {len(outputs)} outputs needs {len(outputs) - 1} inputs, got {len(inputs)}"
             )
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "inputs", inputs)
+        fields = self.__dict__
+        fields.update(
+            outputs=outputs, inputs=inputs, output_alphabet=output_alphabet, input_alphabet=input_alphabet
+        )
         resolved = []
-        for kind, recorded, declared, default in (
-            ("output", outputs, self.output_alphabet, ()),
-            ("input", inputs, self.input_alphabet, (DEFAULT_INPUT,)),
-        ):
+        for kind, recorded, default in (("output", outputs, ()), ("input", inputs, (DEFAULT_INPUT,))):
+            declared = fields[f"{kind}_alphabet"]
             if declared is None:
                 alphabet = tuple(dict.fromkeys(recorded)) or default
             else:
-                alphabet = _unique(declared, f"{kind} alphabet")
-                object.__setattr__(self, f"{kind}_alphabet", alphabet)
+                alphabet = fields[f"{kind}_alphabet"] = _unique(declared, f"{kind} alphabet")
                 for sym in recorded:
                     if sym not in alphabet:
                         raise AlphabetError(
                             f"trace {kind} {_quoted(sym)} not in alphabet {_quoted(alphabet)}"
                         )
             resolved.append(alphabet)
-        object.__setattr__(self, "alphabets", tuple(resolved))
+        fields["alphabets"] = tuple(resolved)
 
     def __len__(self) -> int:
         return len(self.outputs)
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(_Value):
     """A multiple experiment: input words, each run on a fresh copy of a machine."""
 
-    words: tuple[tuple[Symbol, ...], ...]
+    _fields = ("words",)
 
-    def __post_init__(self):
-        if len(self.words) == 0:
+    def __init__(self, words: Iterable[Iterable[Symbol]]):
+        if len(words) == 0:
             raise ValueError("an experiment contains at least one word")
-        object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
+        self.__dict__["words"] = tuple(tuple(w) for w in words)
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(_Value):
     """Two trace-consistent, non-equivalent machines and an experiment separating them."""
 
-    machine_a: Machine
-    machine_b: Machine
-    separating: Experiment
+    _fields = ("machine_a", "machine_b", "separating")
+
+    def __init__(self, machine_a: Machine, machine_b: Machine, separating: Experiment):
+        self.__dict__.update(machine_a=machine_a, machine_b=machine_b, separating=separating)
 
 
 def run(machine: Machine, word: Word) -> list[Symbol]:

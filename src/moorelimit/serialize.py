@@ -16,7 +16,6 @@ import os
 import tempfile
 from collections import defaultdict
 from pathlib import Path
-from typing import Any
 
 from .machines import Machine, Trace, _quoted
 
@@ -182,10 +181,12 @@ def trace_from_dict(doc: dict, where: str = "trace") -> Trace:
     return _checked(where, lambda: Trace(tuple(outputs), tuple(inputs) if inputs else None, *alphabets))
 
 
-def load_json(path) -> Any:
+def load_json(path) -> object:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError:
@@ -216,7 +217,7 @@ def _key_text(key) -> str:
     return _encode_str(text)
 
 
-def dumps_report(doc: Any) -> str:
+def dumps_report(doc: object) -> str:
     """Deterministic rendering: fixed key order, repr-exact floats, one trailing newline.
 
     The text is byte-identical to ``json.dumps(doc, indent=2,

@@ -1,7 +1,9 @@
 """Every name a module under ``src/moorelimit/`` imports is used in that module,
-and the machine commands import no physics module."""
+and the machine commands import no physics module, no ``dataclasses`` and, for
+a report, no ``csv``."""
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -14,6 +16,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # the modules only chsh, ks, noclone, exchange and geiger need
 PHYSICS = {"numpy", "moorelimit.demos", "moorelimit.nogo", "moorelimit.quantum", "moorelimit.observer"}
+
+# the modules every machine command loads, and what they must not import:
+# ``dataclasses`` pulls in ``inspect`` and with it ``ast``, ``dis`` and ``tokenize``
+MACHINE_PATH = ("cli.py", "machines.py", "kernels.py", "serialize.py")
+HEAVY = {"dataclasses", "inspect"}
 
 # (module file, name) imported on purpose and never used there
 EXEMPT = {
@@ -46,6 +53,27 @@ def test_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom typing import Any, List\nx: Any = 1\n") == ["os", "List"]
 
 
+def imported_names(source: str) -> set[str]:
+    """Every module an ``import`` statement anywhere in ``source`` names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return names
+
+
+@pytest.mark.parametrize("name", MACHINE_PATH)
+def test_machine_path_imports_no_dataclasses_or_inspect(name):
+    assert imported_names((PACKAGE / name).read_text()) & HEAVY == set()
+
+
+def test_import_scan_sees_nested_and_dotted_imports():
+    source = "def f():\n    import inspect.x\n    from dataclasses import field\n"
+    assert imported_names(source) == {"inspect.x", "dataclasses"}
+
+
 def imported_modules(*args: str) -> set[str]:
     """Every module a fresh ``python -X importtime ARGS`` imports, run in
     ``tests/golden`` with this checkout's package first on the path."""
@@ -65,22 +93,38 @@ def imported_modules(*args: str) -> set[str]:
     }
 
 
+@functools.cache
+def bare_interpreter_modules() -> frozenset[str]:
+    """What ``python -c pass`` loads here: ``site`` may import a module itself."""
+    return frozenset(imported_modules("-c", "pass"))
+
+
+MACHINE_COMMANDS = [
+    ["witness", "trace.json"],
+    ["enumerate", "trace_ab.json", "--max-states", "3"],
+    ["distinguish", "machine_a.json", "machine_b.json"],
+    ["minimize", "machine_padded.json"],
+]
+
+
 # ``python -m`` is how the benchmark runs the program, and its ``from .cli
 # import main`` probes ``cli.__path__``, which an in-process test never does
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["witness", "trace.json"],
-        ["enumerate", "trace_ab.json", "--max-states", "3"],
-        ["distinguish", "machine_a.json", "machine_b.json"],
-        ["minimize", "machine_padded.json"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", MACHINE_COMMANDS, ids=lambda argv: argv[0])
 def test_machine_command_loads_no_physics_module(argv):
     loaded = imported_modules("-m", "moorelimit", *argv)
     assert "moorelimit.cli" in loaded
     assert loaded & PHYSICS == set()
+
+
+@pytest.mark.parametrize("argv", MACHINE_COMMANDS, ids=lambda argv: argv[0])
+def test_machine_command_report_loads_no_dataclasses_or_csv(argv):
+    loaded = imported_modules("-m", "moorelimit", *argv)
+    assert "moorelimit.cli" in loaded
+    assert loaded & (HEAVY | {"csv"}) <= bare_interpreter_modules()
+
+
+def test_table_format_loads_csv():
+    assert "csv" in imported_modules("-m", "moorelimit", "minimize", "machine_padded.json", "--format", "table")
 
 
 def test_physics_command_loads_the_physics_modules():

@@ -164,3 +164,17 @@ def test_malformed_input_keeps_the_exit_code_contract(fmt, data):
     else:
         assert code in (0, 1) and err == ""
         json.loads(out, parse_constant=reject_constant)
+
+
+@pytest.mark.parametrize("fmt", sorted(NAMED_IN_ERRORS))
+def test_undecodable_file_is_named_in_its_error(fmt, tmp_path):
+    argv, files, target = FORMATS[fmt]
+    (tmp_path / target).write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark, not UTF-8
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code == 2 and out.getvalue() == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(tmp_path / target) in err and "invalid UTF-8" in err, err
