@@ -11,13 +11,16 @@ The four machine commands live here.  The five physics commands live in
 ``witness``, ``enumerate``, ``distinguish`` and ``minimize`` never load numpy.
 
 Exit codes: 0 when every flagged invariant holds, 1 when a demonstration
-fails, 2 for parse/config errors.
+fails, 2 for parse/config errors, a failed write or exhausted memory.
+:func:`run`, the console entry point, ends the process as soon as its output
+is flushed; :func:`main` returns the exit code to an in-process caller.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -121,6 +124,7 @@ def _finish(args, command: str, inputs: dict, results: dict, checks: dict, table
         write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails here, inside main's handler, not at exit
     return 0 if all(checks.values()) else 1
 
 
@@ -374,7 +378,29 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
+
+
+def run() -> None:
+    """The console entry point: :func:`main` on ``sys.argv``, then ``os._exit``.
+
+    Once stdout and stderr are flushed, no output depends on the interpreter's
+    teardown, which frees every object and module and joins numpy's BLAS
+    threads, so the process ends without it.  An exception or ``SystemExit``
+    escaping :func:`main` (argparse errors, ``--help``, ``--version``) takes
+    the normal exit path.
+    """
+    rc = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the process started with that descriptor closed
+                stream.flush()
+        except OSError:  # a write main has reported already; never exit 0 with output lost
+            rc = rc or 2
+    os._exit(rc)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
