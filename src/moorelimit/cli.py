@@ -37,13 +37,14 @@ from .machines import (
 )
 from .serialize import (
     ParseError,
-    dumps_report,
+    dumps_report,  # unused here; perfbench/tracing.py and tests/test_benchmark_contract.py use it by name
     encoding_rows,
     load_json,
     machine_from_dict,
     machine_to_dict,
     trace_from_dict,
     write_atomic,
+    write_report,
 )
 
 #: Single seed feeding every sampling mode; chosen once, documented, fixed.
@@ -107,9 +108,20 @@ def _table_text(header, rows) -> str:
 
 def _finish(args, command: str, inputs: dict, results: dict, checks: dict, table) -> int:
     """Write the report, or for ``--format table`` the ``(header, rows)`` that
-    ``table()`` builds, and return the exit code the checks give."""
+    ``table()`` builds, and return the exit code the checks give.
+
+    The report goes to its destination in chunks as it is rendered: into
+    ``--out``'s temp file, or straight to stdout, where a failed write can
+    leave it cut short before main's ``error:`` line.
+    """
+    if not args.out and sys.stdout is None:  # the process started with descriptor 1 closed
+        raise OSError("stdout is closed; name a file with --out")
     if args.format == "table":
         text = _table_text(*table())
+
+        def produce(write):
+            write(text)
+
     else:
         report = {
             "command": command,
@@ -119,11 +131,14 @@ def _finish(args, command: str, inputs: dict, results: dict, checks: dict, table
             "results": results,
             "checks": checks,
         }
-        text = dumps_report(report)
+
+        def produce(write):
+            write_report(report, write)
+
     if args.out:
-        write_atomic(args.out, text)
+        write_atomic(args.out, produce)
     else:
-        sys.stdout.write(text)
+        produce(sys.stdout.write)
         sys.stdout.flush()  # a closed pipe fails here, inside main's handler, not at exit
     return 0 if all(checks.values()) else 1
 

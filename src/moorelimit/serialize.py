@@ -6,7 +6,11 @@ from the second step on, an optional ``input``).  Each JSON kind has one
 reader (``_object``, ``_symbol``, ``_number``, ``_integer``) that every
 document uses, here and in :mod:`moorelimit.demos`, which reads the physics
 commands' documents.  Parsing raises :class:`ParseError` with a field-level
-message; writing is atomic.
+message.  :func:`write_report` renders a report to its destination in chunks
+of bounded size, so the whole text is never held in memory;
+:func:`dumps_report` joins those chunks into one string.  :func:`write_atomic`
+streams into a temp file and renames it over the target only when the
+writing has finished.
 """
 
 from __future__ import annotations
@@ -217,28 +221,38 @@ def _key_text(key) -> str:
     return _encode_str(text)
 
 
-def dumps_report(doc: object) -> str:
-    """Deterministic rendering: fixed key order, repr-exact floats, one trailing newline.
+#: How many pending parts :func:`write_report` may hold before it passes them on.
+CHUNK_PARTS = 4096
 
-    The text is byte-identical to ``json.dumps(doc, indent=2,
+
+def write_report(doc: object, write) -> None:
+    """Render ``doc`` to ``write`` in chunks: fixed key order, repr-exact floats,
+    one trailing newline.
+
+    The chunks joined are byte-identical to ``json.dumps(doc, indent=2,
     ensure_ascii=False) + "\\n"`` for every JSON value (dicts, lists, tuples,
     strings, numbers, bools, None), with the same key conversion and the same
     TypeError for a value or key ``json`` refuses; a circular structure is
-    not a JSON value and ends in a RecursionError.
+    not a JSON value and ends in a RecursionError.  A refused value ends the
+    call after the chunks before it have been written.
 
-    The text is built as a list of parts joined once at the end, so a long
-    report is copied once, not once per level of nesting.  Within one call
-    the same object at the same indentation always renders to the same text,
-    and the document keeps every object it holds alive, so no identity is
-    reused.  A list or tuple whose items are all scalars is therefore
-    rendered once per indentation and looked up by identity after that,
-    which pays off on the shared ``inputs``, ``outputs``, transition rows and
-    ``lambda`` lists of :func:`encoding_rows`.  Lists that hold containers,
-    such as a ``delta`` or ``machines``, are rendered each time they are
-    reached, so the memo stays small.  The text of each string key is cached
-    too.
+    The text is built as a list of parts.  After each item of a list that
+    holds containers (a report's ``machines``, say), parts past
+    :data:`CHUNK_PARTS` are joined and passed to ``write``, so neither the
+    whole text nor the list of all its parts ever exists.  The strings that
+    depend only on the indentation (the separator, the openings and
+    closings) are spelled once per indentation.  Within one call the same
+    object at the same indentation always renders to the same text, and the
+    document keeps every object it holds alive, so no identity is reused.  A
+    list or tuple whose items are all scalars is therefore rendered once per
+    indentation and looked up by identity after that, which pays off on the
+    shared ``inputs``, ``outputs``, transition rows and ``lambda`` lists of
+    :func:`encoding_rows`.  Lists that hold containers, such as a ``delta``
+    or ``machines``, are rendered each time they are reached, so the memo
+    stays small.  The text of each string key is cached too.
     """
     memo: defaultdict[str, dict[int, str]] = defaultdict(dict)  # pad -> id of a list -> its text
+    layouts: dict[str, tuple] = {}  # pad -> what render spells at that indentation
     keys: dict[str, str] = {}
     out: list[str] = []
     emit = out.append
@@ -261,11 +275,22 @@ def dumps_report(doc: object) -> str:
         if not value:
             emit("{}" if isinstance(value, dict) else "[]")
             return
-        inner = pad + "  "
-        sep = ",\n" + inner
-        known = memo[inner]  # looked up before a call: most lists of a report are already rendered
+        layout = layouts.get(pad)
+        if layout is None:
+            inner = pad + "  "
+            layout = layouts[pad] = (
+                inner,
+                ",\n" + inner,
+                memo[inner],  # most lists of a report are already rendered when reached
+                memo[pad],
+                "{\n" + inner,
+                "\n" + pad + "}",
+                "[\n" + inner,
+                "\n" + pad + "]",
+            )
+        inner, sep, known, mine, open_dict, close_dict, open_list, close_list = layout
         if isinstance(value, dict):
-            lead = "{\n" + inner
+            lead = open_dict
             for k, v in value.items():
                 name = keys.get(k)  # only str keys are stored, so 1, True and 1.0 never match
                 if name is None:
@@ -280,9 +305,9 @@ def dumps_report(doc: object) -> str:
                 else:
                     emit(text)
                 lead = sep
-            emit("\n" + pad + "}")
+            emit(close_dict)
         elif any(isinstance(v, _CONTAINERS) for v in value):
-            lead = "[\n" + inner
+            lead = open_list
             for v in value:
                 emit(lead)
                 text = known.get(id(v))
@@ -291,35 +316,57 @@ def dumps_report(doc: object) -> str:
                 else:
                     emit(text)
                 lead = sep
-            emit("\n" + pad + "]")
+                if len(out) > CHUNK_PARTS:
+                    write("".join(out))
+                    out.clear()
+            emit(close_list)
         else:
-            text = f"[\n{inner}{sep.join([scalar(v) for v in value])}\n{pad}]"
-            memo[pad][id(value)] = text
+            text = f"{open_list}{sep.join([scalar(v) for v in value])}{close_list}"
+            mine[id(value)] = text
             emit(text)
 
-    render(doc, "")
-    emit("\n")
-    text = "".join(out)
-    out.clear()  # render refers to itself, so this frame outlives the call until the cycle collector runs
-    return text
+    try:
+        render(doc, "")
+        emit("\n")
+        write("".join(out))
+    finally:
+        out.clear()  # render refers to itself, so this frame outlives the call until the cycle collector runs
 
 
-def write_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output.
+def dumps_report(doc: object) -> str:
+    """The text :func:`write_report` writes for ``doc``, as one string."""
+    chunks: list[str] = []
+    write_report(doc, chunks.append)
+    return "".join(chunks)
 
-    The file gets the mode a plain ``open`` would give it (0666 less the
-    umask), not the 0600 of the temp file.
+
+def write_atomic(path, content) -> None:
+    """Write ``content`` via a sibling temp file and rename, so readers never see
+    partial output.
+
+    ``content`` is a string, or a callable ``produce(write)`` that passes the
+    text to ``write`` piece by piece, such as ``lambda write:
+    write_report(doc, write)``.  If anything fails, the temp file is removed
+    and the old target is left as it was; an ``OSError`` names ``path``, not
+    the temp file.  The file gets the mode a plain ``open`` would give it
+    (0666 less the umask), not the 0600 of the temp file.
     """
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
+    tmp = None
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                content(fh.write)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

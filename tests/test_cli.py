@@ -773,6 +773,19 @@ def test_out_file_matches_stdout_bytes(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_out_error_names_the_path_given(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path / "dir"
+    if where == "a-directory":
+        target.mkdir()
+    assert cli.main(["ks", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(f": {str(target)!r}\n")
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_out_file_honours_umask(tmp_path):
     target = tmp_path / "report.json"
     old = os.umask(0o022)

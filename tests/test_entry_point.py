@@ -156,6 +156,40 @@ def test_closed_stdout_pipe_exits_2_with_one_error_line(argv):
     assert b"Broken pipe" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["witness", "trace.json"], ["enumerate", "trace.json", "--max-states", "3", "--format", "table"]],
+    ids=["report", "table"],
+)
+def test_closed_stdout_exits_2_with_one_error_line(argv):
+    proc = run_child(argv, stdout=None, preexec_fn=_close_stdout)
+    assert proc.returncode == 2, proc.stderr
+    assert one_error_line(proc.stderr), proc.stderr
+    assert b"stdout is closed" in proc.stderr
+
+
+FILE_SIZE_CAP = 4096  # bytes; the report below is larger, so writing it fails with EFBIG
+
+
+def _cap_file_size():
+    resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_SIZE_CAP, FILE_SIZE_CAP))
+
+
+def test_failed_streamed_write_keeps_the_old_out_file(tmp_path):
+    """Python ignores SIGXFSZ, so a write past the cap raises OSError in the child."""
+    out = tmp_path / "report.json"
+    out.write_bytes(b"old bytes\n")
+    argv = ["enumerate", "trace_ab.json", "--max-states", "3", "--out", str(out)]
+    assert len(run_in_process(argv[:-2])[0]) > FILE_SIZE_CAP
+    proc = run_child(argv, preexec_fn=_cap_file_size)
+    assert proc.returncode == 2, proc.stderr
+    assert one_error_line(proc.stderr), proc.stderr
+    assert proc.stderr.endswith(f": {str(out)!r}\n".encode())
+    assert proc.stdout == b""
+    assert out.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 

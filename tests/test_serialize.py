@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moorelimit import cli
-from moorelimit.machines import Machine, Trace
+from moorelimit.machines import Machine, Trace, consistent_encodings
 from moorelimit.observer import ObserverModel
 from moorelimit.quantum import Povm, basis_povm
 from moorelimit.demos import (
@@ -22,11 +22,13 @@ from moorelimit.demos import (
 from moorelimit.serialize import (
     ParseError,
     dumps_report,
+    encoding_rows,
     load_json,
     machine_from_dict,
     machine_to_dict,
     trace_from_dict,
     write_atomic,
+    write_report,
 )
 
 
@@ -362,3 +364,47 @@ def test_write_atomic_replaces_and_leaves_no_temp(tmp_path):
     write_atomic(target, "new contents\n")
     assert target.read_text() == "new contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def wide_rows() -> list[dict]:
+    """The 6998 machine rows of the two-input x,y,x trace at N=4, as ``enumerate`` builds them."""
+    trace = Trace((0, 1, 0), ("a", "b"))
+    outputs, inputs = trace.alphabets
+    return encoding_rows(consistent_encodings(trace, 4), inputs, outputs)
+
+
+CHUNK_BOUND = 256 * 1024  # characters; the whole report below is about 3.5 MB
+
+
+def test_write_report_streams_in_bounded_chunks():
+    doc = {"command": "enumerate", "results": {"count": 6998, "machines": wide_rows()}, "checks": {"ok": True}}
+    assert len(doc["results"]["machines"]) == 6998
+    chunks = []
+    write_report(doc, chunks.append)
+    text = reference_dumps(doc)
+    assert len(text) > 10 * CHUNK_BOUND
+    assert len(chunks) > 1
+    assert max(len(chunk) for chunk in chunks) < CHUNK_BOUND
+    assert "".join(chunks) == text
+
+
+def test_write_atomic_keeps_the_old_target_when_rendering_fails(tmp_path):
+    rows = wide_rows()
+    rows.append({"states": object()})  # the last row holds a value json refuses
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old bytes\n")
+    written = []
+
+    def produce(write):
+        def counted(chunk):
+            written.append(len(chunk))
+            return write(chunk)
+
+        write_report({"machines": rows}, counted)
+
+    with pytest.raises(TypeError):
+        write_atomic(target, produce)
+    assert written  # chunks reached the temp file before the render failed
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
