@@ -6,9 +6,12 @@ Reports carry the command name, an echo of the effective inputs, a results
 block, pass/fail flags for each invariant checked, the tool version and the
 seed.  Identical inputs and seed produce byte-identical output.
 
-The four machine commands live here.  The five physics commands live in
-:mod:`moorelimit.demos`, imported only when one of them is dispatched, so
-``witness``, ``enumerate``, ``distinguish`` and ``minimize`` never load numpy.
+The four machine commands live here.  ``geiger`` lives in
+:mod:`moorelimit.detector` and the other four physics commands in
+:mod:`moorelimit.demos`, each imported only when one of its commands is
+dispatched.  ``witness``, ``enumerate``, ``distinguish`` and ``minimize`` never
+load numpy, and ``geiger`` loads it only to sample or to check a config's
+quantum blocks.
 
 Exit codes: 0 when every flagged invariant holds, 1 when a demonstration
 fails, 2 for parse/config errors, a failed write or exhausted memory.
@@ -299,15 +302,27 @@ def _demo(name: str):
     return dispatch
 
 
+def _geiger(args) -> int:
+    """``geiger``, run from :mod:`moorelimit.detector` without importing numpy."""
+    from .detector import cmd_geiger
+
+    return cmd_geiger(args)
+
+
 def __getattr__(name: str):
-    """A name this module lacks, looked up in :mod:`moorelimit.demos` (PEP 562).
+    """A name this module lacks, looked up in :mod:`moorelimit.detector` and then
+    in :mod:`moorelimit.demos` (PEP 562).
 
     ``perfbench/tracing.py`` looks up the physics layers' functions on this
-    module.  A dunder name fails without importing ``demos``: ``from .cli
-    import main`` probes ``__path__``, which must not load numpy.
+    module.  A dunder name fails without importing either: ``from .cli import
+    main`` probes ``__path__``, which must not load numpy.
     """
     if name.startswith("__") and name.endswith("__"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import detector
+
+    if hasattr(detector, name):
+        return getattr(detector, name)
     from . import demos
 
     try:
@@ -380,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geiger", parents=[sampling], help="deterministic counter outcomes per source")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector)")
     p.add_argument("--samples", type=_count_at_least(0), default=None, help="Poisson-sampled counts per source")
-    p.set_defaults(func=_demo("cmd_geiger"))
+    p.set_defaults(func=_geiger)
 
     return parser
 

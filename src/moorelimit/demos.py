@@ -1,9 +1,11 @@
-"""The five physics subcommands and the readers of the documents only they read.
+"""The four numpy subcommands and the readers of the documents only they read.
 
-Only these commands need numpy and the ``quantum``, ``observer`` and ``nogo``
-modules, so :mod:`moorelimit.cli` imports this module when it dispatches one
-of them.  Readers raise :class:`~moorelimit.serialize.ParseError` with a
-field-level message.
+``chsh``, ``ks``, ``noclone`` and ``exchange`` compute with numpy and the
+``quantum``, ``observer`` and ``nogo`` modules, so :mod:`moorelimit.cli`
+imports this module when it dispatches one of them.  ``geiger`` lives in
+:mod:`moorelimit.detector`, which shares its counter model with ``exchange``
+and comes here only to check a config's quantum blocks.  Readers raise
+:class:`~moorelimit.serialize.ParseError` with a field-level message.
 """
 
 from __future__ import annotations
@@ -14,6 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .cli import _finish, _witness
+from .detector import (
+    _default_scenario,
+    _source_rows,
+    _source_table,
+    counters_from_dict,
+    detector_to_dict,
+)
 from .machines import Trace, _quoted
 from .nogo import (
     CHSH_TERMS,
@@ -27,16 +36,7 @@ from .nogo import (
     no_cloning_gap,
     singlet,
 )
-from .observer import (
-    DetectorConfig,
-    ObserverModel,
-    SourceConfig,
-    expected_count_rate,
-    geiger_outcome,
-    indistinguishable,
-    outcome_statistics,
-    sample_geiger_counts,
-)
+from .observer import ObserverModel, indistinguishable, outcome_statistics
 from .quantum import (
     DensityOperator,
     Effect,
@@ -117,28 +117,6 @@ def povm_from_dict(doc: dict, where: str = "povm") -> Povm:
     return _checked(where, lambda: Povm(tuple(Effect(m) for m in matrices), tuple(labels)))
 
 
-def source_from_dict(doc: dict, where: str = "source") -> SourceConfig:
-    activity = _number(_require(doc, "activity", where), f"{where}: activity")
-    distance = _number(_require(doc, "distance", where), f"{where}: distance")
-    photon_yield = _number(doc.get("yield", 1.0), f"{where}: yield")
-    return _checked(where, lambda: SourceConfig(activity, distance, photon_yield))
-
-
-def detector_from_dict(doc: dict, where: str = "detector") -> DetectorConfig:
-    aperture = _number(_require(doc, "aperture_diameter", where), f"{where}: aperture_diameter")
-    efficiency = _number(_require(doc, "efficiency", where), f"{where}: efficiency")
-    saturation = _integer(doc.get("saturation", 100), f"{where}.saturation")
-    return _checked(where, lambda: DetectorConfig(aperture, efficiency, saturation))
-
-
-def detector_to_dict(detector: DetectorConfig) -> dict:
-    return {
-        "aperture_diameter": detector.aperture_diameter,
-        "efficiency": detector.efficiency,
-        "saturation": detector.saturation,
-    }
-
-
 def observer_from_dict(doc: dict, base_dir: Path | None = None, where: str = "observer") -> ObserverModel:
     """Observer block: environment dimension plus named POVMs, inline or by file."""
     env_dim = _integer(_require(doc, "env_dim", where), f"{where}.env_dim")
@@ -197,20 +175,20 @@ def state_pairs_from_dict(doc: dict, where: str) -> list[tuple]:
     return pairs
 
 
-def scenario_from_dict(doc: dict, path: str | None = None) -> tuple:
-    """An ``exchange``/``geiger`` config from ``path`` (None if built in) as ``(names, sources,
-    detector, observer or None, [density_a, density_b] where present)``; POVM files
-    resolve against the config's directory."""
-    src_block = _object(doc, str(path)).get("sources")
-    if not isinstance(src_block, dict) or not src_block:
-        raise ParseError("scenario: expected a nonempty 'sources' object")
-    names = list(src_block)
-    sources = [source_from_dict(src_block[name], f"sources.{name}") for name in names]
-    detector = detector_from_dict(doc.get("detector", {}), "detector")
+def quantum_blocks_from_dict(doc: dict, path: str | None = None) -> tuple:
+    """The quantum blocks of an ``exchange``/``geiger`` config from ``path`` (None if
+    built in) as ``(observer or None, [density_a, density_b] where present)``; POVM
+    files resolve against the config's directory."""
     base_dir = Path(path).parent if path else None
     observer = observer_from_dict(doc["observer"], base_dir) if "observer" in doc else None
     densities = [density_from_dict(doc[key], key) for key in ("density_a", "density_b") if key in doc]
-    return names, sources, detector, observer, densities
+    return observer, densities
+
+
+def scenario_from_dict(doc: dict, path: str | None = None) -> tuple:
+    """An ``exchange`` config as ``(names, sources, detector, observer or None,
+    [density_a, density_b] where present)``: the counter blocks, then the quantum ones."""
+    return (*counters_from_dict(doc, path), *quantum_blocks_from_dict(doc, path))
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +363,6 @@ def cmd_noclone(args) -> int:
     return _finish(args, "noclone", echo, results, checks, table)
 
 
-def _default_scenario() -> dict:
-    return {
-        "sources": {
-            "near": {"activity": 3.7e6, "distance": 100.0, "yield": 1.0},
-            "far": {"activity": 1.48e7, "distance": 200.0, "yield": 1.0},
-        },
-        "detector": {"aperture_diameter": 2.0, "efficiency": 0.008, "saturation": 100},
-    }
-
-
 def _default_exchange_quantum() -> dict:
     zeros = [[0.0, 0.0], [0.0, 0.0]]
     return {
@@ -415,31 +383,6 @@ def _default_exchange_quantum() -> dict:
         "density_a": {"dim": 2, "re": [[0.75, 0.0], [0.0, 0.25]], "im": zeros},
         "density_b": {"dim": 2, "re": [[0.75, 0.2], [0.2, 0.25]], "im": zeros},
     }
-
-
-def _source_table(rows):
-    """The per-source table ``exchange`` and ``geiger`` share."""
-    header = ["source", "activity", "distance", "yield", "expected_rate", "outcome"]
-    return header, [
-        [r["name"], r["activity"], r["distance"], r["yield"], r["expected_rate"], r["outcome"]]
-        for r in rows
-    ]
-
-
-def _source_rows(names, sources, detector):
-    rows = []
-    for name, src in zip(names, sources):
-        rows.append(
-            {
-                "name": name,
-                "activity": src.activity,
-                "distance": src.distance,
-                "yield": src.photon_yield,
-                "expected_rate": expected_count_rate(src, detector),
-                "outcome": geiger_outcome(src, detector),
-            }
-        )
-    return rows
 
 
 def cmd_exchange(args) -> int:
@@ -489,33 +432,3 @@ def cmd_exchange(args) -> int:
 
     echo = {"config": str(args.config) if args.config else "(default)"}
     return _finish(args, "exchange", echo, results, checks, lambda: _source_table(rows))
-
-
-def cmd_geiger(args) -> int:
-    doc = load_json(args.config) if args.config else _default_scenario()
-    names, sources, detector, _, _ = scenario_from_dict(doc, args.config)
-    rows = _source_rows(names, sources, detector)
-    outcomes = [r["outcome"] for r in rows]
-    results = {
-        "sources": rows,
-        "detector": detector_to_dict(detector),
-    }
-    if len(rows) > 1:
-        results["outcomes_equal"] = all(o == outcomes[0] for o in outcomes)
-    if args.samples:
-        rng = np.random.default_rng(args.seed)
-        sampled = {}
-        for name, src in zip(names, sources):
-            counts = sample_geiger_counts(src, detector, args.samples, rng)
-            sampled[name] = {
-                "samples": args.samples,
-                "mean": float(np.mean(counts)),
-                "min": int(min(counts)),
-                "max": int(max(counts)),
-            }
-        results["sampled"] = sampled
-    checks = {"within_saturation": all(o <= detector.saturation for o in outcomes)}
-    if len(rows) > 1:
-        checks["outcomes_all_equal"] = results["outcomes_equal"]
-    echo = {"config": str(args.config) if args.config else "(default)"}
-    return _finish(args, "geiger", echo, results, checks, lambda: _source_table(rows))

@@ -2,15 +2,14 @@
 
 An observer is a named, finite set of POVMs over one environment dimension:
 whatever its POVMs cannot resolve can be exchanged without changing any
-recorded statistics.  The module covers both the quantum form of that
-statement (lifting a POVM over extra degrees of freedom it is blind to) and
-its bench-top caricature, a saturating integer-count radiation detector that
-reads the same number for distinct sources.
+recorded statistics.  The module covers the quantum form of that statement
+(lifting a POVM over extra degrees of freedom it is blind to).  Its bench-top
+caricature, a saturating integer-count radiation detector that reads the same
+number for distinct sources, is :mod:`moorelimit.detector`, which needs no numpy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -51,43 +50,6 @@ class ObserverModel:
                     f"POVM {name!r} has dim {povm.dim}, observer expects {self.env_dim}"
                 )
         object.__setattr__(self, "povms", MappingProxyType(povms))
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    """A point radiation source: activity in decays/s, distance in cm."""
-
-    activity: float
-    distance: float
-    photon_yield: float = 1.0
-
-    def __post_init__(self):
-        for name, value in (
-            ("activity", self.activity),
-            ("distance", self.distance),
-            ("yield", self.photon_yield),
-        ):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """A counting detector: circular aperture (cm), efficiency, integer saturation."""
-
-    aperture_diameter: float
-    efficiency: float
-    saturation: int = 100
-
-    def __post_init__(self):
-        if not (math.isfinite(self.aperture_diameter) and self.aperture_diameter > 0):
-            raise ValueError(
-                f"aperture diameter must be finite and positive, got {self.aperture_diameter!r}"
-            )
-        if not 0 < self.efficiency <= 1:
-            raise ValueError("efficiency must be in (0, 1]")
-        if self.saturation < 1:
-            raise ValueError("saturation must be >= 1 count/s")
 
 
 @dataclass(frozen=True)
@@ -150,46 +112,3 @@ def indistinguishable(
         at_povm=at_povm,
         at_label=at_label,
     )
-
-
-def expected_count_rate(source: SourceConfig, detector: DetectorConfig) -> float:
-    """Expected detector rate in counts/s, before quantization and saturation.
-
-    Point-source flux through a circular aperture; the expression order is
-    fixed so that scaling (activity, distance) by (c^2, c) cancels exactly.
-    Raises ``ValueError`` when the geometry leaves the float range: a distance
-    whose square underflows to 0, or a square or rate that overflows.
-    """
-    try:
-        square = source.distance**2
-        area = math.pi * (detector.aperture_diameter / 2.0) ** 2
-    except OverflowError:
-        raise ValueError(f"the square of a length overflows: {source}, {detector}") from None
-    if square == 0:
-        raise ValueError(f"distance {source.distance!r} is too small: its square underflows to 0")
-    flux = source.activity * source.photon_yield / (4.0 * math.pi * square)
-    rate = flux * area * detector.efficiency
-    if not math.isfinite(rate):
-        raise ValueError(f"expected count rate overflows for {source} and {detector}")
-    return rate
-
-
-def geiger_outcome(source: SourceConfig, detector: DetectorConfig) -> int:
-    """The integer the detector records: expected rate, rounded half-up, saturated.
-
-    Deterministic by design; record equality between distinct sources is then
-    an exact statement rather than a statistical one.
-    """
-    rate = expected_count_rate(source, detector)
-    return min(int(math.floor(rate + 0.5)), detector.saturation)
-
-
-def sample_geiger_counts(
-    source: SourceConfig,
-    detector: DetectorConfig,
-    n_samples: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Illustrative Poisson-sampled counts, clamped at saturation."""
-    rate = expected_count_rate(source, detector)
-    return [min(int(k), detector.saturation) for k in rng.poisson(rate, size=n_samples)]

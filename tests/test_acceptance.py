@@ -34,7 +34,8 @@ from moorelimit.nogo import (
     no_cloning_gap,
     singlet,
 )
-from moorelimit.observer import DetectorConfig, SourceConfig, geiger_outcome, lift_povm
+from moorelimit.detector import DetectorConfig, SourceConfig, geiger_outcome
+from moorelimit.observer import lift_povm
 from moorelimit.quantum import (
     Effect,
     Povm,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from moorelimit import cli
-from moorelimit.observer import DetectorConfig, SourceConfig
+from moorelimit.detector import DetectorConfig, SourceConfig, sample_geiger_counts
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -138,6 +138,15 @@ ORDER_CASES = {
         {"sources": {"s": SOURCE}, "detector": DETECTOR, "observer": BAD_OBSERVER, "density_a": BAD_DENSITY},
         "error: observer.env_dim: expected an integer, got 'x'",
     ),
+    # every block is read before any source's expected rate is computed
+    "observer-then-rate": (
+        {
+            "sources": {"s": {**SOURCE, "activity": 1e308, "yield": 10.0}},
+            "detector": DETECTOR,
+            "observer": BAD_OBSERVER,
+        },
+        "error: observer.env_dim: expected an integer, got 'x'",
+    ),
     # a trace that overflows: numpy would warn of it, and no warning may reach stderr
     "density-overflow": (
         {
@@ -174,3 +183,38 @@ def test_geiger_names_the_first_malformed_block_as_a_program(tmp_path, case):
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+
+HOT = {
+    "sources": {"hot": {"activity": 1e300, "distance": 1.0}},
+    "detector": {"aperture_diameter": 2.0, "efficiency": 1.0},
+}
+
+
+def test_a_rate_too_large_to_sample_exits_2_naming_the_source_and_rate(capsys, tmp_path):
+    config = tmp_path / "hot.json"
+    config.write_text(json.dumps(HOT))
+    assert cli.main(["geiger", "--config", str(config)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    rate = report["results"]["sources"][0]["expected_rate"]
+    assert rate == pytest.approx(2.5e299)
+    assert cli.main(["geiger", "--config", str(config), "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = f"error: sources.hot: --samples: cannot draw Poisson counts at expected rate {rate!r} counts/s: "
+    assert captured.err.startswith(prefix)
+    assert captured.err.count("\n") == 1
+
+
+def test_sampling_refusal_names_the_rate():
+    class Refusing:
+        def poisson(self, lam, size):
+            raise ValueError("lam value too large")
+
+    with pytest.raises(ValueError) as caught:
+        sample_geiger_counts(SourceConfig(4.0, 1.0), DetectorConfig(2.0, 0.5), 3, Refusing())
+    assert str(caught.value) == "--samples: cannot draw Poisson counts at expected rate 0.5 counts/s: lam value too large"

@@ -1,9 +1,10 @@
 """Every name a module under ``src/moorelimit/`` imports is used in that module,
-and the machine commands import no physics module, no ``dataclasses`` and, for
-a report, no ``csv``."""
+and the machine commands and ``geiger`` import no physics module, no
+``dataclasses`` and, for a report, no ``csv``."""
 
 import ast
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -14,12 +15,13 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moorelimit"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# the modules only chsh, ks, noclone, exchange and geiger need
+# the modules only chsh, ks, noclone and exchange need, and geiger only when it
+# samples or checks a config's quantum blocks
 PHYSICS = {"numpy", "moorelimit.demos", "moorelimit.nogo", "moorelimit.quantum", "moorelimit.observer"}
 
-# the modules every machine command loads, and what they must not import:
+# the modules every machine command and geiger load, and what they must not import:
 # ``dataclasses`` pulls in ``inspect`` and with it ``ast``, ``dis`` and ``tokenize``
-MACHINE_PATH = ("cli.py", "machines.py", "kernels.py", "serialize.py")
+MACHINE_PATH = ("cli.py", "machines.py", "kernels.py", "serialize.py", "detector.py")
 HEAVY = {"dataclasses", "inspect"}
 
 # (module file, name) imported on purpose and never used there
@@ -128,6 +130,41 @@ def test_machine_command_report_loads_no_dataclasses_or_csv(argv):
 
 def test_table_format_loads_csv():
     assert "csv" in imported_modules("-m", "moorelimit", "minimize", "machine_padded.json", "--format", "table")
+
+
+GEIGER_COMMANDS = [["geiger"], ["geiger", "--format", "table"]]
+
+
+@pytest.mark.parametrize("argv", GEIGER_COMMANDS, ids=" ".join)
+def test_geiger_loads_no_physics_module_dataclasses_or_inspect(argv):
+    loaded = imported_modules("-m", "moorelimit", *argv)
+    assert "moorelimit.detector" in loaded
+    assert loaded & PHYSICS == set()
+    assert loaded & HEAVY <= bare_interpreter_modules()
+
+
+def test_geiger_loads_numpy_to_sample():
+    assert "numpy" in imported_modules("-m", "moorelimit", "geiger", "--samples", "1")
+
+
+def test_geiger_loads_numpy_to_check_an_observer_block(tmp_path):
+    config = tmp_path / "observer.json"
+    povm = {"name": "one", "dim": 1, "labels": [0], "effects": [{"dim": 1, "re": [[1.0]], "im": [[0.0]]}]}
+    doc = {
+        "sources": {"s": {"activity": 3.7e6, "distance": 100.0}},
+        "detector": {"aperture_diameter": 2.0, "efficiency": 0.008},
+        "observer": {"env_dim": 1, "povms": [povm]},
+    }
+    config.write_text(json.dumps(doc))
+    loaded = imported_modules("-m", "moorelimit", "geiger", "--config", str(config))
+    assert {"numpy", "moorelimit.demos"} <= loaded
+
+
+def test_counter_names_resolve_on_cli_without_numpy():
+    names = "geiger_outcome, expected_count_rate, sample_geiger_counts, source_from_dict, detector_from_dict"
+    loaded = imported_modules("-c", f"from moorelimit.cli import {names}")
+    assert "moorelimit.detector" in loaded
+    assert loaded & PHYSICS == set()
 
 
 def test_physics_command_loads_the_physics_modules():

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from moorelimit.observer import (
+from moorelimit.detector import (
     DetectorConfig,
-    ObserverModel,
     SourceConfig,
-    StructureError,
     expected_count_rate,
     geiger_outcome,
+    sample_geiger_counts,
+)
+from moorelimit.observer import (
+    ObserverModel,
+    StructureError,
     indistinguishable,
     lift_povm,
     outcome_statistics,
-    sample_geiger_counts,
 )
 from moorelimit.quantum import (
     DimensionError,

@@ -12,13 +12,12 @@ from moorelimit.observer import ObserverModel
 from moorelimit.quantum import Povm, basis_povm
 from moorelimit.demos import (
     density_from_dict,
-    detector_from_dict,
     matrix_from_dict,
     observer_from_dict,
     povm_from_dict,
-    source_from_dict,
     state_from_dict,
 )
+from moorelimit.detector import detector_from_dict, source_from_dict
 from moorelimit.serialize import (
     ParseError,
     dumps_report,
