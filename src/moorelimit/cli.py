@@ -6,15 +6,15 @@ Reports carry the command name, an echo of the effective inputs, a results
 block, pass/fail flags for each invariant checked, the tool version and the
 seed.  Identical inputs and seed produce byte-identical output.
 
-The four machine commands live here.  ``geiger`` lives in
-:mod:`moorelimit.detector` and the other four physics commands in
-:mod:`moorelimit.demos`, each imported only when one of its commands is
-dispatched.  ``witness``, ``enumerate``, ``distinguish`` and ``minimize`` never
-load numpy, and ``geiger`` loads it only to sample or to check a config's
-quantum blocks.
+The four machine commands live here, and never load numpy.  Each physics
+command lives in another module of the package, imported only when the
+command is dispatched: ``geiger`` in :mod:`moorelimit.detector`, ``ks`` in
+:mod:`moorelimit.contextuality` and the rest in :mod:`moorelimit.demos`.
+Which of them load numpy is up to those modules.
 
 Exit codes: 0 when every flagged invariant holds, 1 when a demonstration
-fails, 2 for parse/config errors, a failed write or exhausted memory.
+fails, 2 for parse/config errors, a number too large to use, a failed write
+or exhausted memory.
 :func:`run`, the console entry point, ends the process as soon as its output
 is flushed; :func:`main` returns the exit code to an in-process caller.
 """
@@ -39,7 +39,6 @@ from .machines import (
     witness_moore,
 )
 from .serialize import (
-    ParseError,
     dumps_report,  # unused here; perfbench/tracing.py and tests/test_benchmark_contract.py use it by name
     encoding_rows,
     load_json,
@@ -59,7 +58,8 @@ DEFAULT_SEED = 1956
 
 
 def _count_at_least(minimum: int):
-    """An argparse type for ``--samples``: an integer count of at least ``minimum``."""
+    """An argparse type for ``--samples``, ``--seed`` and ``--max-states``: an
+    integer of at least ``minimum``."""
 
     def count(text: str) -> int:
         value = int(text)
@@ -214,8 +214,6 @@ def _row_reproduces(row: dict, trace: Trace, columns: dict | None = None) -> boo
 
 
 def cmd_enumerate(args) -> int:
-    if args.max_states < 1:
-        raise ParseError(f"--max-states must be at least 1, got {args.max_states}")
     trace, echo = _load_trace(args)
     echo["max_states"] = args.max_states
     encodings = consistent_encodings(trace, args.max_states)
@@ -288,47 +286,34 @@ def cmd_minimize(args) -> int:
 # physics commands
 
 
-def _demo(name: str):
-    """A subcommand ``func`` that imports :mod:`moorelimit.demos` and runs its ``name``."""
+def _module(name: str):
+    """``moorelimit.<name>``, imported by the ``import`` machinery that
+    ``-X importtime`` logs, which ``importlib.import_module`` bypasses."""
+    return getattr(__import__(f"{__package__}.{name}"), name)
+
+
+def _command(module: str, name: str):
+    """A subcommand ``func`` that imports ``moorelimit.<module>`` and runs its ``name``."""
 
     def dispatch(args) -> int:
-        import numpy as np
-
-        from . import demos
-
-        with np.errstate(all="ignore"):  # validation rejects the inf/NaN numpy would warn of
-            return getattr(demos, name)(args)
+        return getattr(_module(module), name)(args)
 
     return dispatch
 
 
-def _geiger(args) -> int:
-    """``geiger``, run from :mod:`moorelimit.detector` without importing numpy."""
-    from .detector import cmd_geiger
-
-    return cmd_geiger(args)
-
-
 def __getattr__(name: str):
-    """A name this module lacks, looked up in :mod:`moorelimit.detector` and then
-    in :mod:`moorelimit.demos` (PEP 562).
+    """A name this module lacks, looked up in :mod:`moorelimit.detector`,
+    :mod:`moorelimit.contextuality` and then :mod:`moorelimit.demos` (PEP 562).
 
     ``perfbench/tracing.py`` looks up the physics layers' functions on this
-    module.  A dunder name fails without importing either: ``from .cli import
-    main`` probes ``__path__``, which must not load numpy.
+    module.  A dunder name fails without importing any of them: ``from .cli
+    import main`` probes ``__path__``, which must not load numpy.
     """
-    if name.startswith("__") and name.endswith("__"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import detector
-
-    if hasattr(detector, name):
-        return getattr(detector, name)
-    from . import demos
-
-    try:
-        return getattr(demos, name)
-    except AttributeError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    if not (name.startswith("__") and name.endswith("__")):
+        for module in map(_module, ("detector", "contextuality", "demos")):
+            if hasattr(module, name):
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # only the commands that draw random numbers take a seed; the others echo DEFAULT_SEED
     sampling = argparse.ArgumentParser(add_help=False, parents=[common])
-    sampling.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the sampling mode")
+    sampling.add_argument(
+        "--seed", type=_count_at_least(0), default=DEFAULT_SEED, help="seed N >= 0 for the sampling mode"
+    )
 
     parser = argparse.ArgumentParser(
         prog="moorelimit",
@@ -359,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="all consistent machines up to a state bound")
     p.add_argument("trace", help="trace JSON file")
-    p.add_argument("--max-states", type=int, required=True, help="state bound N >= 1")
+    p.add_argument("--max-states", type=_count_at_least(1), required=True, help="state bound N >= 1")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("distinguish", parents=[common], help="find an experiment separating two machines")
@@ -375,27 +362,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON with optional 'state' and 'angles'")
     p.add_argument("--samples", type=_count_at_least(0), default=None, help="finite-sample estimates per setting")
     p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for checks")
-    p.set_defaults(func=_demo("cmd_chsh"))
+    p.set_defaults(func=_command("demos", "cmd_chsh"))
 
     p = sub.add_parser("ks", parents=[common], help="Peres-Mermin square contextuality check")
     p.add_argument("--tol", type=_tolerance, default=1e-12, help="tolerance for checks")
-    p.set_defaults(func=_demo("cmd_ks"))
+    p.set_defaults(func=_command("contextuality", "cmd_ks"))
 
     p = sub.add_parser("noclone", parents=[sampling], help="no-cloning gaps and the record-level analogue")
     p.add_argument("--config", default=None, help="JSON with a 'pairs' array of state pairs")
     p.add_argument("--samples", type=_count_at_least(1), default=100, help="number of random pairs")
     p.add_argument("--tol", type=_tolerance, default=1e-12, help="tolerance for checks")
-    p.set_defaults(func=_demo("cmd_noclone"))
+    p.set_defaults(func=_command("demos", "cmd_noclone"))
 
     p = sub.add_parser("exchange", parents=[common], help="records invariant under source exchange")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector, observer)")
     p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for checks")
-    p.set_defaults(func=_demo("cmd_exchange"))
+    p.set_defaults(func=_command("demos", "cmd_exchange"))
 
     p = sub.add_parser("geiger", parents=[sampling], help="deterministic counter outcomes per source")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector)")
     p.add_argument("--samples", type=_count_at_least(0), default=None, help="Poisson-sampled counts per source")
-    p.set_defaults(func=_geiger)
+    p.set_defaults(func=_command("detector", "cmd_geiger"))
 
     return parser
 
@@ -405,7 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's _ArrayMemoryError too

@@ -1,8 +1,10 @@
-"""The four numpy subcommands and the readers of the documents only they read.
+"""The three numpy subcommands and the readers of the documents only they read.
 
-``chsh``, ``ks``, ``noclone`` and ``exchange`` compute with numpy and the
-``quantum``, ``observer`` and ``nogo`` modules, so :mod:`moorelimit.cli`
-imports this module when it dispatches one of them.  ``geiger`` lives in
+``chsh``, ``noclone`` and ``exchange`` compute with numpy and the ``quantum``,
+``observer`` and ``nogo`` modules; :mod:`moorelimit.cli` imports this module
+when it dispatches one of them.  Each runs with numpy's floating-point
+warnings off, since validation rejects the inf and NaN they would warn of.
+``ks`` lives in :mod:`moorelimit.contextuality` and ``geiger`` in
 :mod:`moorelimit.detector`, which shares its counter model with ``exchange``
 and comes here only to check a config's quantum blocks.  Readers raise
 :class:`~moorelimit.serialize.ParseError` with a field-level message.
@@ -30,7 +32,6 @@ from .nogo import (
     chsh_sum,
     chsh_value,
     correlator,
-    kochen_specker_check,
     lhv_chsh_table,
     measurement_axis,
     no_cloning_gap,
@@ -209,6 +210,7 @@ def _sample_correlator(state: DensityOperator, x: float, y: float, n: int, rng) 
     return float(np.mean(signs[draws]))
 
 
+@np.errstate(all="ignore")
 def cmd_chsh(args) -> int:
     angles = dict(_CANONICAL_ANGLES)
     state, state_echo = singlet(), "singlet"
@@ -273,35 +275,7 @@ def cmd_chsh(args) -> int:
     return _finish(args, "chsh", echo, results, checks, table)
 
 
-def cmd_ks(args) -> int:
-    report = kochen_specker_check()
-    results = {
-        "labels": [list(row) for row in report.labels],
-        "row_signs": list(report.row_signs),
-        "col_signs": list(report.col_signs),
-        "max_commutator": report.max_commutator,
-        "max_product_deviation": report.max_product_deviation,
-        "satisfying_assignments": report.satisfying_assignments,
-        "assignment_count": report.assignment_count,
-        "contextual": report.contextual,
-    }
-    checks = {
-        "lines_commute": report.max_commutator <= args.tol,
-        "products_are_signed_identities": report.max_product_deviation <= args.tol,
-        "row_signs_all_plus": report.row_signs == (1, 1, 1),
-        "col_signs_plus_plus_minus": report.col_signs == (1, 1, -1),
-        "no_classical_assignment": report.satisfying_assignments == 0,
-    }
-
-    def table():
-        return ["row", "col", "label"], [
-            [r, c, report.labels[r][c]] for r in range(3) for c in range(3)
-        ]
-
-    echo = {"square": "peres-mermin"}
-    return _finish(args, "ks", echo, results, checks, table)
-
-
+@np.errstate(all="ignore")
 def cmd_noclone(args) -> int:
     ket0 = basis_state(2, 0)
     ket1 = basis_state(2, 1)
@@ -385,6 +359,7 @@ def _default_exchange_quantum() -> dict:
     }
 
 
+@np.errstate(all="ignore")
 def cmd_exchange(args) -> int:
     default = {**_default_scenario(), **_default_exchange_quantum()}
     doc = load_json(args.config) if args.config else default

@@ -1,9 +1,9 @@
-"""Desk-scale demonstrations of three quantum no-go theorems.
+"""Desk-scale demonstrations of two quantum no-go theorems.
 
 CHSH with the singlet against an exhaustive local-deterministic-strategy bound,
-contextuality via the two-qubit Pauli-product magic square, and the no-cloning
-obstruction in its inner-product-preservation form.  Every result here is
-exact arithmetic or a brute-force search over a space small enough to print.
+and the no-cloning obstruction in its inner-product-preservation form.  The
+third, contextuality, is the Peres–Mermin square of
+:mod:`moorelimit.contextuality`, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from .quantum import (
     DensityOperator,
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     StateVector,
     overlap,
@@ -93,83 +92,6 @@ def lhv_chsh_table() -> dict[tuple[int, int, int, int], int]:
         outcome = dict(zip(("a", "a_prime", "b", "b_prime"), values))
         table[values] = chsh_sum(lambda _, x, y: outcome[x] * outcome[y])
     return table
-
-
-# Two-qubit Pauli products: rows multiply to +I, the third column to -I.
-_PAULI_1 = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z, "I": np.eye(2, dtype=complex)}
-_SQUARE_LABELS = (
-    ("XI", "IX", "XX"),
-    ("IY", "YI", "YY"),
-    ("XY", "YX", "ZZ"),
-)
-
-
-def _pauli_product(label: str) -> np.ndarray:
-    return np.kron(_PAULI_1[label[0]], _PAULI_1[label[1]])
-
-
-@dataclass(frozen=True)
-class KochenSpeckerReport:
-    """Operator identities of the magic square versus classical +-1 assignments."""
-
-    labels: tuple[tuple[str, str, str], ...]
-    max_commutator: float
-    row_signs: tuple[int, int, int]
-    col_signs: tuple[int, int, int]
-    max_product_deviation: float
-    satisfying_assignments: int
-    assignment_count: int
-
-    @property
-    def contextual(self) -> bool:
-        return self.satisfying_assignments == 0
-
-
-def _product_sign(ops) -> tuple[int, float]:
-    prod = ops[0] @ ops[1] @ ops[2]
-    eye = np.eye(prod.shape[0])
-    dev_plus = float(np.max(np.abs(prod - eye)))
-    dev_minus = float(np.max(np.abs(prod + eye)))
-    return (1, dev_plus) if dev_plus <= dev_minus else (-1, dev_minus)
-
-
-def kochen_specker_check() -> KochenSpeckerReport:
-    """Verify the magic square's operator identities and search all 512 classical assignments.
-
-    A classical assignment puts +-1 in each cell and must reproduce every row
-    and column product sign; the parity obstruction (all nine values multiply
-    to +1 along rows but -1 along columns) leaves zero of the 512.
-    """
-    ops = [[_pauli_product(label) for label in row] for row in _SQUARE_LABELS]
-    lines = ops + [[ops[r][c] for r in range(3)] for c in range(3)]  # three rows, then three columns
-    max_comm = 0.0
-    signs = []
-    max_dev = 0.0
-    for line in lines:
-        for m1, m2 in itertools.combinations(line, 2):
-            max_comm = max(max_comm, float(np.max(np.abs(m1 @ m2 - m2 @ m1))))
-        sign, dev = _product_sign(line)
-        signs.append(sign)
-        max_dev = max(max_dev, dev)
-    row_signs, col_signs = tuple(signs[:3]), tuple(signs[3:])
-
-    satisfying = 0
-    for cells in itertools.product((1, -1), repeat=9):
-        g = [cells[0:3], cells[3:6], cells[6:9]]
-        rows_ok = all(g[r][0] * g[r][1] * g[r][2] == row_signs[r] for r in range(3))
-        cols_ok = all(g[0][c] * g[1][c] * g[2][c] == col_signs[c] for c in range(3))
-        if rows_ok and cols_ok:
-            satisfying += 1
-
-    return KochenSpeckerReport(
-        labels=_SQUARE_LABELS,
-        max_commutator=max_comm,
-        row_signs=row_signs,
-        col_signs=col_signs,
-        max_product_deviation=max_dev,
-        satisfying_assignments=satisfying,
-        assignment_count=2 ** 9,
-    )
 
 
 def no_cloning_gap(psi: StateVector, phi: StateVector) -> float:

@@ -29,11 +29,11 @@ from moorelimit.nogo import (
     ChshSetting,
     chsh_value,
     correlator,
-    kochen_specker_check,
     lhv_chsh_table,
     no_cloning_gap,
     singlet,
 )
+from moorelimit.contextuality import kochen_specker_check
 from moorelimit.detector import DetectorConfig, SourceConfig, geiger_outcome
 from moorelimit.observer import lift_povm
 from moorelimit.quantum import (
@@ -182,17 +182,17 @@ def test_criterion_5_kochen_specker():
     report = kochen_specker_check()
     elapsed = time.perf_counter() - start
     ok = (
-        report.row_signs == (1, 1, 1)
-        and report.col_signs == (1, 1, -1)
-        and report.max_product_deviation <= 1e-12
-        and report.satisfying_assignments == 0
-        and report.assignment_count == 512
+        report["row_signs"] == [1, 1, 1]
+        and report["col_signs"] == [1, 1, -1]
+        and report["max_product_deviation"] <= 1e-12
+        and report["satisfying_assignments"] == 0
+        and report["assignment_count"] == 512
         and elapsed < 1.0
     )
     _verdict(
         "criterion 5 (contextuality: signed identities exact, 0/512 assignments)",
         ok,
-        f"max dev={report.max_product_deviation:.2e}, {elapsed:.3f}s < 1s",
+        f"max dev={report['max_product_deviation']:.2e}, {elapsed:.3f}s < 1s",
     )
     assert ok, report
 

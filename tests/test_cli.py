@@ -421,7 +421,39 @@ def test_enumerate_requires_max_states(trace01):
 
 
 def test_enumerate_rejects_zero_bound(capsys, trace01):
-    assert cli.main(["enumerate", trace01, "--max-states", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["enumerate", trace01, "--max-states", "0"])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["chsh"], ["noclone"], ["geiger", "--samples", "3"]],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_rejected_at_parsing_naming_flag_and_value(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chsh", "--samples", str(10**30)],
+        ["enumerate", os.path.join(os.path.dirname(__file__), "golden", "trace.json"), "--max-states", str(2**64)],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_count_too_large_to_use_exits_2_with_one_error_line(capsys, argv):
+    # both fail converting the count to a machine integer, before any allocation
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Every name a module under ``src/moorelimit/`` imports is used in that module,
-and the machine commands and ``geiger`` import no physics module, no
+and the machine commands, ``ks`` and ``geiger`` import no physics module, no
 ``dataclasses`` and, for a report, no ``csv``."""
 
 import ast
@@ -15,13 +15,13 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moorelimit"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# the modules only chsh, ks, noclone and exchange need, and geiger only when it
+# the modules only chsh, noclone and exchange need, and geiger only when it
 # samples or checks a config's quantum blocks
 PHYSICS = {"numpy", "moorelimit.demos", "moorelimit.nogo", "moorelimit.quantum", "moorelimit.observer"}
 
-# the modules every machine command and geiger load, and what they must not import:
+# the modules every machine command, ks and geiger load, and what they must not import:
 # ``dataclasses`` pulls in ``inspect`` and with it ``ast``, ``dis`` and ``tokenize``
-MACHINE_PATH = ("cli.py", "machines.py", "kernels.py", "serialize.py", "detector.py")
+MACHINE_PATH = ("cli.py", "machines.py", "kernels.py", "serialize.py", "detector.py", "contextuality.py")
 HEAVY = {"dataclasses", "inspect"}
 
 # (module file, name) imported on purpose and never used there
@@ -143,6 +143,17 @@ def test_geiger_loads_no_physics_module_dataclasses_or_inspect(argv):
     assert loaded & HEAVY <= bare_interpreter_modules()
 
 
+KS_COMMANDS = [["ks"], ["ks", "--format", "table"]]
+
+
+@pytest.mark.parametrize("argv", KS_COMMANDS, ids=" ".join)
+def test_ks_loads_no_physics_module_dataclasses_or_inspect(argv):
+    loaded = imported_modules("-m", "moorelimit", *argv)
+    assert "moorelimit.contextuality" in loaded
+    assert loaded & PHYSICS == set()
+    assert loaded & HEAVY <= bare_interpreter_modules()
+
+
 def test_geiger_loads_numpy_to_sample():
     assert "numpy" in imported_modules("-m", "moorelimit", "geiger", "--samples", "1")
 
@@ -167,8 +178,14 @@ def test_counter_names_resolve_on_cli_without_numpy():
     assert loaded & PHYSICS == set()
 
 
+def test_kochen_specker_check_resolves_on_cli_without_numpy():
+    loaded = imported_modules("-c", "from moorelimit.cli import kochen_specker_check")
+    assert "moorelimit.contextuality" in loaded
+    assert "numpy" not in loaded
+
+
 def test_physics_command_loads_the_physics_modules():
-    assert PHYSICS <= imported_modules("-m", "moorelimit", "ks")
+    assert PHYSICS <= imported_modules("-m", "moorelimit", "chsh")
 
 
 def test_importing_cli_loads_no_numpy():
