@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_command("demos", "cmd_chsh"))
 
     p = sub.add_parser("ks", parents=[common], help="Peres-Mermin square contextuality check")
-    p.add_argument("--tol", type=_tolerance, default=1e-12, help="tolerance for checks")
     p.set_defaults(func=_command("contextuality", "cmd_ks"))
 
     p = sub.add_parser("noclone", parents=[sampling], help="no-cloning gaps and the record-level analogue")

@@ -28,7 +28,6 @@ from .detector import (
 from .machines import Trace, _quoted
 from .nogo import (
     CHSH_TERMS,
-    ChshSetting,
     chsh_sum,
     chsh_value,
     correlator,
@@ -37,7 +36,7 @@ from .nogo import (
     no_cloning_gap,
     singlet,
 )
-from .observer import ObserverModel, indistinguishable, outcome_statistics
+from .observer import ObserverModel, max_deviation, outcome_statistics
 from .quantum import (
     DensityOperator,
     Effect,
@@ -139,13 +138,16 @@ def observer_from_dict(doc: dict, base_dir: Path | None = None, where: str = "ob
 
 
 def chsh_config_from_dict(doc: dict, where: str) -> tuple[dict, DensityOperator | None]:
-    """A ``chsh`` config: its four ``angles`` (empty without the block) and its
-    ``state``, a flat vector or a density matrix (None without the block)."""
+    """A ``chsh`` config: its four finite ``angles`` (empty without the block) and
+    its two-qubit ``state``, a flat vector or a density matrix (None without the block)."""
     angles = {}
     if "angles" in _object(doc, where):
         block = _object(doc["angles"], f"{where}: angles")
         for key in ("a", "a_prime", "b", "b_prime"):
-            angles[key] = _number(_require(block, key, f"{where}: angles"), f"{where}: angles.{key}")
+            at = f"{where}: angles.{key}"
+            angles[key] = _number(_require(block, key, f"{where}: angles"), at)
+            if not math.isfinite(angles[key]):
+                raise ParseError(f"{at}: expected a finite number, got {angles[key]!r}")
     if "state" not in doc:
         return angles, None
     at = f"{where}: state"
@@ -186,12 +188,6 @@ def quantum_blocks_from_dict(doc: dict, path: str | None = None) -> tuple:
     return observer, densities
 
 
-def scenario_from_dict(doc: dict, path: str | None = None) -> tuple:
-    """An ``exchange`` config as ``(names, sources, detector, observer or None,
-    [density_a, density_b] where present)``: the counter blocks, then the quantum ones."""
-    return (*counters_from_dict(doc, path), *quantum_blocks_from_dict(doc, path))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -204,7 +200,7 @@ def _sample_correlator(state: DensityOperator, x: float, y: float, n: int, rng) 
         effects=tuple(Effect(np.kron(p, q)) for p in proj_a for q in proj_b),
         labels=("++", "+-", "-+", "--"),
     )
-    probs = np.asarray(born_distribution(state, povm).probabilities)
+    probs = np.asarray(born_distribution(state, povm))
     draws = rng.choice(4, size=n, p=probs)
     signs = np.array([1.0, -1.0, -1.0, 1.0])
     return float(np.mean(signs[draws]))
@@ -219,13 +215,11 @@ def cmd_chsh(args) -> int:
         angles.update(custom_angles)
         if custom_state is not None:
             state, state_echo = custom_state, "custom"
-    setting = ChshSetting(state=state, **angles)
-    s_value = chsh_value(setting)
-    lhv_max = max(abs(v) for v in lhv_chsh_table().values())
-
     correlators = {
         name: correlator(state, angles[x], angles[y]) for name, x, y, _ in CHSH_TERMS
     }
+    s_value = chsh_sum(lambda name, _x, _y: correlators[name])
+    lhv_max = max(abs(v) for v in lhv_chsh_table().values())
     results = {
         "angles": angles,
         "correlators": correlators,
@@ -265,10 +259,8 @@ def cmd_chsh(args) -> int:
         sweep_rows = []
         for k in range(100):
             theta = 2.0 * math.pi * k / 100.0
-            sweep = ChshSetting(
-                a=0.0, a_prime=math.pi / 2.0, b=theta, b_prime=theta + math.pi / 2.0, state=state
-            )
-            sweep_rows.append([0.0, math.pi / 2.0, theta, theta + math.pi / 2.0, chsh_value(sweep)])
+            sweep = {"a": 0.0, "a_prime": math.pi / 2.0, "b": theta, "b_prime": theta + math.pi / 2.0}
+            sweep_rows.append([*sweep.values(), chsh_value(state, sweep)])
         return ["a", "a_prime", "b", "b_prime", "S"], sweep_rows
 
     echo = {"config": str(args.config) if args.config else "(default)", "state": state_echo}
@@ -297,20 +289,21 @@ def cmd_noclone(args) -> int:
         pair_rows.append({"name": name, "overlap": abs(overlap(psi, phi)), "gap": gap})
 
     rng = np.random.default_rng(args.seed)
-    random_gaps = [
-        no_cloning_gap(random_state(2, rng), random_state(2, rng)) for _ in range(args.samples)
-    ]
+    min_gap, max_gap = math.inf, -math.inf  # running, so memory stays flat in --samples
+    for _ in range(args.samples):
+        gap = no_cloning_gap(random_state(2, rng), random_state(2, rng))
+        min_gap, max_gap = min(min_gap, gap), max(max_gap, gap)
     results = {
         "pairs": pair_rows,
         "random": {
             "count": args.samples,
-            "min_gap": min(random_gaps),
-            "max_gap": max(random_gaps),
+            "min_gap": min_gap,
+            "max_gap": max_gap,
         },
     }
     checks = {
         "gaps_nonnegative": all(row["gap"] >= -args.tol for row in pair_rows),
-        "random_gaps_positive": all(g > 0 for g in random_gaps),
+        "random_gaps_positive": min_gap > 0,
     }
     if default_mode:
         checks["identical_gap_zero"] = abs(gap_by_name["identical"]) <= args.tol
@@ -363,7 +356,8 @@ def _default_exchange_quantum() -> dict:
 def cmd_exchange(args) -> int:
     default = {**_default_scenario(), **_default_exchange_quantum()}
     doc = load_json(args.config) if args.config else default
-    names, sources, detector, observer, densities = scenario_from_dict(doc, args.config)
+    names, sources, detector = counters_from_dict(doc, args.config)
+    observer, densities = quantum_blocks_from_dict(doc, args.config)
     if len(sources) != 2:
         raise ParseError("exchange compares exactly two sources")
     rows = _source_rows(names, sources, detector)
@@ -389,21 +383,22 @@ def cmd_exchange(args) -> int:
         rho_a, rho_b = densities
         stats_a = outcome_statistics(rho_a, observer)
         stats_b = outcome_statistics(rho_b, observer)
-        comparison = indistinguishable(stats_a, stats_b, tolerance=args.tol)
+        worst = max_deviation(stats_a, stats_b)
+        same_statistics = worst <= args.tol
         results["statistics"] = {
             "povms": {
                 name: {
-                    "labels": list(stats_a[name].labels),
-                    "p_a": list(stats_a[name].probabilities),
-                    "p_b": list(stats_b[name].probabilities),
+                    "labels": list(povm.labels),
+                    "p_a": list(stats_a[name]),
+                    "p_b": list(stats_b[name]),
                 }
-                for name in stats_a
+                for name, povm in observer.povms.items()
             },
-            "max_deviation": comparison.max_deviation,
-            "indistinguishable": comparison.indistinguishable,
+            "max_deviation": worst,
+            "indistinguishable": same_statistics,
             "states_identical": bool(np.array_equal(rho_a.matrix, rho_b.matrix)),
         }
-        checks["statistics_indistinguishable"] = comparison.indistinguishable
+        checks["statistics_indistinguishable"] = same_statistics
 
     echo = {"config": str(args.config) if args.config else "(default)"}
     return _finish(args, "exchange", echo, results, checks, lambda: _source_table(rows))

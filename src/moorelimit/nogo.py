@@ -3,7 +3,9 @@
 CHSH with the singlet against an exhaustive local-deterministic-strategy bound,
 and the no-cloning obstruction in its inner-product-preservation form.  The
 third, contextuality, is the Peres–Mermin square of
-:mod:`moorelimit.contextuality`, which needs no numpy.
+:mod:`moorelimit.contextuality`, which needs no numpy.  The functions take
+validated :mod:`moorelimit.quantum` states and plain float angles; the ``chsh``
+config reader checks that the angles are finite and the state has dimension 4.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,24 +35,6 @@ def singlet() -> DensityOperator:
 def measurement_axis(angle: float) -> np.ndarray:
     """Spin observable along the x-z plane direction at ``angle`` from z."""
     return math.sin(angle) * PAULI_X + math.cos(angle) * PAULI_Z
-
-
-@dataclass(frozen=True)
-class ChshSetting:
-    """Four measurement angles (x-z plane) and a two-qubit state."""
-
-    a: float
-    a_prime: float
-    b: float
-    b_prime: float
-    state: DensityOperator
-
-    def __post_init__(self):
-        for angle in (self.a, self.a_prime, self.b, self.b_prime):
-            if not math.isfinite(angle):
-                raise ValueError(f"measurement angle {angle!r} is not finite")
-        if self.state.dim != 4:
-            raise ValueError("CHSH needs a two-qubit state (dim 4)")
 
 
 def correlator(state: DensityOperator, x: float, y: float) -> float:
@@ -77,10 +60,10 @@ def chsh_sum(term) -> float:
     return functools.reduce(operator.add, (s * term(n, x, y) for n, x, y, s in CHSH_TERMS))
 
 
-def chsh_value(setting: ChshSetting) -> float:
-    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b')."""
-    st = setting.state
-    return chsh_sum(lambda _, x, y: correlator(st, getattr(setting, x), getattr(setting, y)))
+def chsh_value(state: DensityOperator, angles) -> float:
+    """S = E(a,b) - E(a,b') + E(a',b) + E(a',b') in ``state``, with ``angles`` keyed
+    ``a``, ``a_prime``, ``b`` and ``b_prime``."""
+    return chsh_sum(lambda _, x, y: correlator(state, angles[x], angles[y]))
 
 
 def lhv_chsh_table() -> dict[tuple[int, int, int, int], int]:

@@ -6,13 +6,17 @@ recorded statistics.  The module covers the quantum form of that statement
 (lifting a POVM over extra degrees of freedom it is blind to).  Its bench-top
 caricature, a saturating integer-count radiation detector that reads the same
 number for distinct sources, is :mod:`moorelimit.detector`, which needs no numpy.
+
+An observer's statistics map each POVM name to its Born probabilities in label
+order.  Two such maps are compared by their largest difference; the caller
+decides which tolerance makes them indistinguishable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -20,9 +24,7 @@ from .quantum import (
     DensityOperator,
     DimensionError,
     Effect,
-    OutcomeDistribution,
     Povm,
-    TAU_NUM,
     born_distribution,
 )
 
@@ -52,16 +54,6 @@ class ObserverModel:
         object.__setattr__(self, "povms", MappingProxyType(povms))
 
 
-@dataclass(frozen=True)
-class StatisticsComparison:
-    """Result of matching two statistics maps probability by probability."""
-
-    indistinguishable: bool
-    max_deviation: float
-    at_povm: str
-    at_label: Union[str, int]
-
-
 def lift_povm(povm: Povm, extra_dim: int) -> Povm:
     """Extend each effect as E -> E tensor I over degrees of freedom the POVM ignores.
 
@@ -77,8 +69,8 @@ def lift_povm(povm: Povm, extra_dim: int) -> Povm:
 
 def outcome_statistics(
     rho: DensityOperator, observer: ObserverModel
-) -> dict[str, OutcomeDistribution]:
-    """Born distribution of every POVM the observer carries."""
+) -> dict[str, tuple[float, ...]]:
+    """Born distribution of every POVM the observer carries, in its labels' order."""
     if rho.dim != observer.env_dim:
         raise DimensionError(
             f"state dim {rho.dim} != observer environment dim {observer.env_dim}"
@@ -86,29 +78,19 @@ def outcome_statistics(
     return {name: born_distribution(rho, povm) for name, povm in observer.povms.items()}
 
 
-def indistinguishable(
-    stats_a: Mapping[str, OutcomeDistribution],
-    stats_b: Mapping[str, OutcomeDistribution],
-    tolerance: float = TAU_NUM,
-) -> StatisticsComparison:
-    """Whether two statistics maps agree within tolerance, and where they differ most."""
+def max_deviation(
+    stats_a: Mapping[str, tuple[float, ...]], stats_b: Mapping[str, tuple[float, ...]]
+) -> float:
+    """The largest difference between two statistics maps, probability by probability."""
     if set(stats_a) != set(stats_b):
         raise StructureError(
             f"POVM names differ: {sorted(map(str, stats_a))} vs {sorted(map(str, stats_b))}"
         )
     worst = -1.0
-    at_povm = at_label = None
-    for name, dist_a in stats_a.items():
-        dist_b = stats_b[name]
-        if dist_a.labels != dist_b.labels:
-            raise StructureError(f"outcome labels differ under POVM {name!r}")
-        for label, p_a, p_b in zip(dist_a.labels, dist_a.probabilities, dist_b.probabilities):
-            dev = abs(p_a - p_b)
-            if dev > worst:
-                worst, at_povm, at_label = dev, name, label
-    return StatisticsComparison(
-        indistinguishable=worst <= tolerance,
-        max_deviation=worst,
-        at_povm=at_povm,
-        at_label=at_label,
-    )
+    for name, probs_a in stats_a.items():
+        probs_b = stats_b[name]
+        if len(probs_a) != len(probs_b):
+            raise StructureError(f"outcome counts differ under POVM {name!r}")
+        for p_a, p_b in zip(probs_a, probs_b):
+            worst = max(worst, abs(p_a - p_b))
+    return worst

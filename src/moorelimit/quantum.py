@@ -141,28 +141,8 @@ class Povm:
         return self.effects[0].dim
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Probabilities per outcome label; sums to one."""
-
-    labels: tuple[Union[str, int], ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        probs = tuple(float(p) for p in self.probabilities)
-        if len(labels) != len(probs):
-            raise ValueError("one probability per label required")
-        if any(p < 0 for p in probs):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > TAU_NUM:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probabilities", probs)
-
-
-def born_distribution(rho: DensityOperator, povm: Povm) -> OutcomeDistribution:
-    """Outcome probabilities p_i = trace(rho E_i).
+def born_distribution(rho: DensityOperator, povm: Povm) -> tuple[float, ...]:
+    """Outcome probabilities p_i = trace(rho E_i), in ``povm.labels`` order.
 
     Roundoff negatives within ``TAU_NUM`` are clamped to zero and the
     distribution renormalized; anything worse is rejected as invalid input.
@@ -178,8 +158,7 @@ def born_distribution(rho: DensityOperator, povm: Povm) -> OutcomeDistribution:
     total = sum(probs)
     if abs(total - 1.0) > TAU_NUM:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    probs = [p / total for p in probs]
-    return OutcomeDistribution(labels=povm.labels, probabilities=tuple(probs))
+    return tuple(p / total for p in probs)
 
 
 def tensor(a, b):

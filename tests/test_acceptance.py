@@ -26,7 +26,6 @@ from moorelimit.machines import (
     witness_moore,
 )
 from moorelimit.nogo import (
-    ChshSetting,
     chsh_value,
     correlator,
     lhv_chsh_table,
@@ -149,10 +148,8 @@ def test_criterion_3_multiplicity_grows_with_bound():
 def test_criterion_4_chsh():
     """Singlet CHSH = -2*sqrt(2) at the canonical angles; LHV max 2 with 8 achievers; < 1 s."""
     start = time.perf_counter()
-    setting = ChshSetting(
-        a=0.0, a_prime=math.pi / 2.0, b=math.pi / 4.0, b_prime=3.0 * math.pi / 4.0, state=singlet()
-    )
-    s_value = chsh_value(setting)
+    angles = {"a": 0.0, "a_prime": math.pi / 2.0, "b": math.pi / 4.0, "b_prime": 3.0 * math.pi / 4.0}
+    s_value = chsh_value(singlet(), angles)
     lhv = list(lhv_chsh_table().values())
     grid_dev = max(
         abs(correlator(singlet(), x, y) - (-math.cos(x - y)))
@@ -234,8 +231,8 @@ def test_criterion_7_lifting_identity():
             povm = Povm(
                 effects=(Effect(proj), Effect(np.eye(dim_a) - proj)), labels=("hit", "miss")
             )
-        base = born_distribution(rho, povm).probabilities
-        lifted = born_distribution(tensor(rho, sigma), lift_povm(povm, dim_b)).probabilities
+        base = born_distribution(rho, povm)
+        lifted = born_distribution(tensor(rho, sigma), lift_povm(povm, dim_b))
         worst = max(worst, max(abs(p - q) for p, q in zip(base, lifted)))
     ok = worst <= 1e-12
     _verdict("criterion 7 (lifted measurements keep identical statistics)", ok, f"worst dev={worst:.2e}")

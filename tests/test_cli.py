@@ -5,6 +5,7 @@ import random
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -246,6 +247,8 @@ def with_observer(env_dim=2, **povm):
         ("chsh", {"angles": 5}, "c.json: angles: expected an object"),
         ("chsh", {"angles": {**ANGLES, "a": [1]}}, "c.json: angles.a: "),
         ("chsh", {"angles": {**ANGLES, "b": "x"}}, "c.json: angles.b: "),
+        ("chsh", {"angles": {**ANGLES, "a": float("nan")}}, "c.json: angles.a: "),
+        ("chsh", {"angles": {**ANGLES, "a": float("inf")}}, "c.json: angles.a: "),
         ("noclone", [1], "c.json: expected an object"),
         ("noclone", {"pairs": [5]}, "c.json: pairs[0]: expected an object"),
         ("geiger", [1], "c.json: expected an object"),
@@ -272,6 +275,7 @@ def with_observer(env_dim=2, **povm):
     ],
     ids=[
         "chsh-array", "chsh-angles-number", "chsh-angle-array", "chsh-angle-string",
+        "chsh-angle-nan", "chsh-angle-inf",
         "noclone-array", "noclone-pair-number", "geiger-array", "exchange-array",
         "distance-underflow", "distance-overflow", "activity-inf", "activity-nan", "activity-huge-int",
         "rate-overflow", "saturation-fraction", "aperture-inf", "aperture-overflow",
@@ -289,7 +293,7 @@ def test_malformed_config_exits_2_naming_the_field(capsys, tmp_path, command, do
     assert field in err
 
 
-@pytest.mark.parametrize("command", ["chsh", "ks", "noclone", "exchange"])
+@pytest.mark.parametrize("command", ["chsh", "noclone", "exchange"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "-1e-9"])
 def test_tolerance_must_be_finite_and_nonnegative(capsys, command, value):
     with pytest.raises(SystemExit) as exc:  # "--tol=" keeps argparse from reading "-1e-9" as an option
@@ -300,13 +304,15 @@ def test_tolerance_must_be_finite_and_nonnegative(capsys, command, value):
 
 def test_tolerance_defaults_per_command():
     parser = cli.build_parser()
-    defaults = {"chsh": 1e-9, "ks": 1e-12, "noclone": 1e-12, "exchange": 1e-9}
+    defaults = {"chsh": 1e-9, "noclone": 1e-12, "exchange": 1e-9}
     for command, tol in defaults.items():
         assert parser.parse_args([command]).tol == tol
         assert parser.parse_args([command, "--tol", "0.5"]).tol == 0.5
         assert parser.parse_args([command, "--tol", "0"]).tol == 0.0
-    # the other subcommands check nothing against a tolerance, so they take no --tol
+    # the other subcommands check nothing against a tolerance, so they take no --tol;
+    # ks's arithmetic is exact, so it checks its identities against 0
     others = {
+        "ks": [],
         "witness": ["t.json"],
         "enumerate": ["t.json", "--max-states", "2"],
         "distinguish": ["a.json", "b.json"],
@@ -623,6 +629,21 @@ def test_noclone_custom_pairs(capsys, tmp_path):
     # the frozen-pair checks only apply to the built-in demonstration
     assert "overlap_0.6_gap_0.24" not in report["checks"]
     assert "classical_analogue" not in report["results"]
+
+
+def test_noclone_memory_does_not_grow_with_samples(capsys):
+    # the random block keeps a running min_gap and max_gap, not every gap
+    def peak(samples: int) -> int:
+        tracemalloc.start()
+        try:
+            assert cli.main(["noclone", "--samples", str(samples)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    peak(500)  # warm up: imports and first-call caches
+    assert peak(5000) - peak(500) < 32 * 1024
 
 
 def test_noclone_bad_config(capsys, tmp_path):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from moorelimit.demos import chsh_config_from_dict
 from moorelimit.nogo import (
-    ChshSetting,
     chsh_value,
     correlator,
     lhv_chsh_table,
@@ -23,8 +23,10 @@ from moorelimit.quantum import (
     random_state,
     tensor,
 )
+from moorelimit.serialize import ParseError
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
+CANONICAL = {"a": 0.0, "a_prime": math.pi / 2.0, "b": math.pi / 4.0, "b_prime": 3.0 * math.pi / 4.0}
 
 
 def product_00():
@@ -70,25 +72,17 @@ def test_singlet_perfect_anticorrelation():
 
 
 def test_chsh_canonical_angles_reach_negative_tsirelson():
-    setting = ChshSetting(
-        a=0.0, a_prime=math.pi / 2.0, b=math.pi / 4.0, b_prime=3.0 * math.pi / 4.0,
-        state=singlet(),
-    )
-    assert chsh_value(setting) == pytest.approx(-TSIRELSON, abs=1e-9)
+    assert chsh_value(singlet(), CANONICAL) == pytest.approx(-TSIRELSON, abs=1e-9)
 
 
 def test_chsh_zero_angles_hits_lhv_bound():
-    setting = ChshSetting(a=0.0, a_prime=0.0, b=0.0, b_prime=0.0, state=singlet())
-    assert chsh_value(setting) == pytest.approx(-2.0, abs=1e-12)
+    zeros = dict.fromkeys(CANONICAL, 0.0)
+    assert chsh_value(singlet(), zeros) == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_chsh_product_state_stays_classical():
-    setting = ChshSetting(
-        a=0.0, a_prime=math.pi / 2.0, b=math.pi / 4.0, b_prime=3.0 * math.pi / 4.0,
-        state=product_00(),
-    )
-    assert chsh_value(setting) == pytest.approx(math.sqrt(2.0), abs=1e-9)
-    assert abs(chsh_value(setting)) <= 2.0
+    assert chsh_value(product_00(), CANONICAL) == pytest.approx(math.sqrt(2.0), abs=1e-9)
+    assert abs(chsh_value(product_00(), CANONICAL)) <= 2.0
 
 
 def test_chsh_respects_tsirelson_on_dense_grid():
@@ -96,20 +90,24 @@ def test_chsh_respects_tsirelson_on_dense_grid():
     grid = np.linspace(0.0, math.pi, 8)
     worst = 0.0
     for a, ap, b, bp in itertools.product(grid, repeat=4):
-        s = chsh_value(ChshSetting(a=a, a_prime=ap, b=b, b_prime=bp, state=rho))
+        s = chsh_value(rho, {"a": a, "a_prime": ap, "b": b, "b_prime": bp})
         worst = max(worst, abs(s))
     assert worst <= TSIRELSON + 1e-9
     assert worst > 2.5  # the grid contains near-optimal quadruples
 
 
 def test_chsh_requires_two_qubit_state():
-    with pytest.raises(ValueError):
-        ChshSetting(a=0.0, a_prime=0.0, b=0.0, b_prime=0.0, state=DensityOperator(np.eye(2) / 2.0))
+    # the config reader is the one place a chsh state's dimension is checked
+    mixed = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(ParseError, match=r"^c\.json: state: CHSH needs a two-qubit state"):
+        chsh_config_from_dict({"state": mixed}, "c.json")
 
 
 def test_chsh_rejects_non_finite_angle():
-    with pytest.raises(ValueError):
-        ChshSetting(a=math.nan, a_prime=0.0, b=0.0, b_prime=0.0, state=singlet())
+    # ... and the one place its angles are checked
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ParseError, match=r"^c\.json: angles\.b_prime: expected a finite number"):
+            chsh_config_from_dict({"angles": {**CANONICAL, "b_prime": value}}, "c.json")
 
 
 def test_lhv_table_is_plus_or_minus_two_with_eight_achievers():

@@ -13,8 +13,8 @@ from moorelimit.detector import (
 from moorelimit.observer import (
     ObserverModel,
     StructureError,
-    indistinguishable,
     lift_povm,
+    max_deviation,
     outcome_statistics,
 )
 from moorelimit.quantum import (
@@ -56,7 +56,7 @@ def test_lifted_statistics_ignore_the_extra_factor():
             povm = basis_povm(d_sys)
             direct = born_distribution(rho, povm)
             joint = born_distribution(tensor(rho, sigma), lift_povm(povm, d_env))
-            for p, q in zip(direct.probabilities, joint.probabilities):
+            for p, q in zip(direct, joint):
                 assert abs(p - q) <= 1e-12
 
 
@@ -67,7 +67,7 @@ def test_outcome_statistics_runs_every_povm():
     rho = random_density(2, np.random.default_rng(3))
     stats = outcome_statistics(rho, observer)
     assert set(stats) == {"z", "z2"}
-    assert stats["z"].probabilities == stats["z2"].probabilities
+    assert stats["z"] == stats["z2"]
 
 
 def test_outcome_statistics_checks_dimension():
@@ -86,24 +86,21 @@ def test_indistinguishable_reports_worst_deviation():
     rng = np.random.default_rng(7)
     rho = random_density(2, rng)
     stats = outcome_statistics(rho, observer)
-    same = indistinguishable(stats, stats)
-    assert same.indistinguishable and same.max_deviation == 0.0
+    assert max_deviation(stats, stats) == 0.0
 
     other = outcome_statistics(random_density(2, rng), observer)
-    diff = indistinguishable(stats, other)
-    assert not diff.indistinguishable
-    assert diff.at_povm == "z"
-    assert diff.max_deviation > 1e-3
+    assert max_deviation(stats, other) == max(abs(p - q) for p, q in zip(stats["z"], other["z"]))
+    assert max_deviation(stats, other) > 1e-3
 
 
 def test_indistinguishable_requires_matching_structure():
     observer_a = ObserverModel(env_dim=2, povms={"z": basis_povm(2)})
     observer_b = ObserverModel(env_dim=2, povms={"x": basis_povm(2)})
     rho = random_density(2, np.random.default_rng(9))
-    with pytest.raises(StructureError):
-        indistinguishable(
-            outcome_statistics(rho, observer_a), outcome_statistics(rho, observer_b)
-        )
+    with pytest.raises(StructureError, match="POVM names differ"):
+        max_deviation(outcome_statistics(rho, observer_a), outcome_statistics(rho, observer_b))
+    with pytest.raises(StructureError, match="outcome counts differ under POVM 'z'"):
+        max_deviation({"z": (0.5, 0.5)}, {"z": (0.25, 0.25, 0.5)})
 
 
 # ---------------------------------------------------------------------------
