@@ -25,6 +25,8 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
+from itertools import accumulate
 
 from . import __version__
 from .machines import (
@@ -57,14 +59,16 @@ DEFAULT_SEED = 1956
 # shared plumbing
 
 
-def _count_at_least(minimum: int):
+def _count_at_least(minimum: int, maximum: int | None = None):
     """An argparse type for ``--samples``, ``--seed`` and ``--max-states``: an
-    integer of at least ``minimum``."""
+    integer of at least ``minimum`` and, if given, at most ``maximum``."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return count
@@ -215,29 +219,42 @@ def _row_reproduces(row: dict, trace: Trace, columns: dict | None = None) -> boo
 
 def cmd_enumerate(args) -> int:
     trace, echo = _load_trace(args)
-    echo["max_states"] = args.max_states
-    encodings = consistent_encodings(trace, args.max_states)
+    bound = echo["max_states"] = args.max_states
     outputs, inputs = trace.alphabets
-    rows = encoding_rows(encodings, inputs, outputs)
-    counts = [
-        {"max_states": bound, "count": sum(enc[0] <= bound for enc in encodings)}
-        for bound in range(1, args.max_states + 1)
-    ]
-    results = {
-        "counts": counts,
-        "count": counts[-1]["count"],
-        "machines": rows,
-    }
-    tally = [c["count"] for c in counts]
-    columns = {}
+    limit = sys.maxsize // len(inputs)  # beyond it, the search's flat table could not be indexed
+    if bound > limit:
+        raise ValueError(f"argument --max-states: must be <= {limit} over {len(inputs)} inputs, got {bound}")
+    encodings = consistent_encodings(trace, bound)
+    sizes = Counter(enc[0] for enc in encodings)
+    tally = list(accumulate(sizes[n] for n in range(1, bound + 1)))
     checks = {
         "counts_nondecreasing": all(x <= y for x, y in zip(tally, tally[1:])),
-        "all_consistent": all(_row_reproduces(row, trace, columns) for row in rows),
-        "all_within_bound": all(row["states"] <= args.max_states for row in rows),
+        "all_consistent": False,  # both set by machines() once every row is out
+        "all_within_bound": False,
+    }
+
+    def machines():
+        """Each row of the report, replayed as it is yielded, so the rows
+        checked are the rows written and none outlives its turn."""
+        columns = {}
+        replayed = within = True
+        for row in encoding_rows(encodings, inputs, outputs):
+            replayed = replayed and _row_reproduces(row, trace, columns)
+            within = within and row["states"] <= bound
+            yield row
+        checks["all_consistent"] = replayed
+        checks["all_within_bound"] = within
+
+    results = {
+        "counts": [{"max_states": n, "count": c} for n, c in enumerate(tally, 1)],
+        "count": tally[-1],
+        "machines": machines(),  # rendered before checks, which it completes
     }
 
     def table():
-        return ["max_states", "count"], [[c["max_states"], c["count"]] for c in counts]
+        for _ in results["machines"]:  # replayed for the checks, never held
+            pass
+        return ["max_states", "count"], list(enumerate(tally, 1))
 
     return _finish(args, "enumerate", echo, results, checks, table)
 
@@ -346,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="all consistent machines up to a state bound")
     p.add_argument("trace", help="trace JSON file")
-    p.add_argument("--max-states", type=_count_at_least(1), required=True, help="state bound N >= 1")
+    p.add_argument("--max-states", type=_count_at_least(1, sys.maxsize), required=True, help="state bound N >= 1")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("distinguish", parents=[common], help="find an experiment separating two machines")
@@ -360,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chsh", parents=[sampling], help="CHSH value vs the LHV bound")
     p.add_argument("--config", default=None, help="JSON with optional 'state' and 'angles'")
-    p.add_argument("--samples", type=_count_at_least(0), default=None, help="finite-sample estimates per setting")
+    p.add_argument("--samples", type=_count_at_least(0, sys.maxsize), default=None, help="finite-sample estimates per setting")
     p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for checks")
     p.set_defaults(func=_command("demos", "cmd_chsh"))
 
@@ -369,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noclone", parents=[sampling], help="no-cloning gaps and the record-level analogue")
     p.add_argument("--config", default=None, help="JSON with a 'pairs' array of state pairs")
-    p.add_argument("--samples", type=_count_at_least(1), default=100, help="number of random pairs")
+    p.add_argument("--samples", type=_count_at_least(1, sys.maxsize), default=100, help="number of random pairs")
     p.add_argument("--tol", type=_tolerance, default=1e-12, help="tolerance for checks")
     p.set_defaults(func=_command("demos", "cmd_noclone"))
 
@@ -380,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geiger", parents=[sampling], help="deterministic counter outcomes per source")
     p.add_argument("--config", default=None, help="scenario JSON (sources, detector)")
-    p.add_argument("--samples", type=_count_at_least(0), default=None, help="Poisson-sampled counts per source")
+    p.add_argument("--samples", type=_count_at_least(0, sys.maxsize), default=None, help="Poisson-sampled counts per source")
     p.set_defaults(func=_command("detector", "cmd_geiger"))
 
     return parser

@@ -7,7 +7,9 @@ reader (``_object``, ``_symbol``, ``_number``, ``_integer``) that every
 document uses, here and in :mod:`moorelimit.demos`, which reads the physics
 commands' documents.  Parsing raises :class:`ParseError` with a field-level
 message.  :func:`write_report` renders a report to its destination in chunks
-of bounded size, so the whole text is never held in memory;
+of bounded size, so the whole text is never held in memory, and renders a
+generator as the array of what it yields, consuming it as it goes; so a
+report whose rows come from :func:`encoding_rows` never holds them all.
 :func:`dumps_report` joins those chunks into one string.  :func:`write_atomic`
 streams into a temp file and renames it over the target only when the
 writing has finished.
@@ -19,7 +21,9 @@ import json
 import os
 import tempfile
 from collections import defaultdict
+from collections.abc import Iterator
 from pathlib import Path
+from types import GeneratorType
 
 from .machines import Machine, Trace, _quoted
 
@@ -100,29 +104,31 @@ def machine_to_dict(machine: Machine) -> dict:
     )
 
 
-def encoding_rows(encodings, inputs: tuple, outputs: tuple) -> list[dict]:
+def encoding_rows(encodings, inputs: tuple, outputs: tuple) -> Iterator[dict]:
     """The documents :func:`machine_to_dict` gives for the machines that
     :func:`moorelimit.machines.consistent_encodings`'s encodings describe over
-    the alphabets ``inputs`` and ``outputs``, one per encoding.
+    the alphabets ``inputs`` and ``outputs``, one per encoding, yielded one at
+    a time, so no list of them ever exists.
 
     Equal parts are one object: every row holds the same ``inputs`` and
-    ``outputs`` lists, and rows share one list per distinct transition row,
-    one ``delta`` per distinct flat table and one ``lambda`` per distinct
-    output tuple.  The rows are for reading and rendering, not for mutation.
+    ``outputs`` lists, and rows share one list per distinct transition row and
+    one ``lambda`` per distinct output tuple.  The generator holds those lists
+    for as long as it runs, which is what lets :func:`write_report` look them
+    up by identity.  The completions of one table are adjacent in the sorted
+    encodings, so they share one ``delta`` and only the current one is kept.
+    The rows are for reading and rendering, not for mutation.
     """
     k = len(inputs)
     inputs, outputs = list(inputs), list(outputs)
     row_lists: dict[tuple[int, ...], list] = {}
-    deltas: dict[tuple[int, ...], list] = {}
     lams: dict[tuple[int, ...], list] = {}
-    rows = []
+    table = delta = None
     for enc in encodings:
         m = enc[0]
         cut = 1 + m * k
         flat = enc[1:cut]
-        delta = deltas.get(flat)
-        if delta is None:
-            delta = deltas[flat] = []
+        if flat != table:
+            table, delta = flat, []
             for start in range(0, m * k, k):
                 row = flat[start : start + k]
                 listed = row_lists.get(row)
@@ -133,8 +139,7 @@ def encoding_rows(encodings, inputs: tuple, outputs: tuple) -> list[dict]:
         lam = lams.get(key)
         if lam is None:
             lam = lams[key] = [outputs[i] for i in key]
-        rows.append(_machine_row(m, inputs, outputs, 0, delta, lam))
-    return rows
+        yield _machine_row(m, inputs, outputs, 0, delta, lam)
 
 
 def machine_from_dict(doc: dict, where: str = "machine") -> Machine:
@@ -198,7 +203,7 @@ def load_json(path) -> object:
 
 
 _encode_str = json.encoder.encode_basestring  # the string spelling of ensure_ascii=False
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, GeneratorType)
 
 
 def _scalar_text(value) -> str | None:
@@ -233,25 +238,29 @@ def write_report(doc: object, write) -> None:
     ensure_ascii=False) + "\\n"`` for every JSON value (dicts, lists, tuples,
     strings, numbers, bools, None), with the same key conversion and the same
     TypeError for a value or key ``json`` refuses; a circular structure is
-    not a JSON value and ends in a RecursionError.  A refused value ends the
-    call after the chunks before it have been written.
+    not a JSON value and ends in a RecursionError.  A generator, which
+    ``json`` refuses, renders as the array of what it yields, so the text is
+    the one ``json`` gives with the generator replaced by that list; it is
+    consumed once, as it is rendered.  A refused value ends the call after
+    the chunks before it have been written.
 
-    The text is built as a list of parts.  After each item of a list that
-    holds containers (a report's ``machines``, say), parts past
+    The text is built as a list of parts.  After each item of a generator or
+    of a list that holds containers (a report's ``machines``, say), parts past
     :data:`CHUNK_PARTS` are joined and passed to ``write``, so neither the
     whole text nor the list of all its parts ever exists.  The strings that
     depend only on the indentation (the separator, the openings and
-    closings) are spelled once per indentation.  Within one call the same
-    object at the same indentation always renders to the same text, and the
-    document keeps every object it holds alive, so no identity is reused.  A
-    list or tuple whose items are all scalars is therefore rendered once per
-    indentation and looked up by identity after that, which pays off on the
-    shared ``inputs``, ``outputs``, transition rows and ``lambda`` lists of
+    closings) are spelled once per indentation.  A list or tuple whose items
+    are all scalars is rendered once per indentation, kept alive until the
+    call returns and looked up by identity after that, so no other object
+    can take its identity meanwhile, not even one a generator builds after
+    an earlier item has been freed.  That pays off on the shared ``inputs``,
+    ``outputs``, transition rows and ``lambda`` lists of
     :func:`encoding_rows`.  Lists that hold containers, such as a ``delta``
     or ``machines``, are rendered each time they are reached, so the memo
     stays small.  The text of each string key is cached too.
     """
     memo: defaultdict[str, dict[int, str]] = defaultdict(dict)  # pad -> id of a list -> its text
+    held: list = []  # every list in memo, so its id stays its own
     layouts: dict[str, tuple] = {}  # pad -> what render spells at that indentation
     keys: dict[str, str] = {}
     out: list[str] = []
@@ -306,7 +315,7 @@ def write_report(doc: object, write) -> None:
                     emit(text)
                 lead = sep
             emit(close_dict)
-        elif any(isinstance(v, _CONTAINERS) for v in value):
+        elif type(value) is GeneratorType or any(isinstance(v, _CONTAINERS) for v in value):
             lead = open_list
             for v in value:
                 emit(lead)
@@ -319,10 +328,11 @@ def write_report(doc: object, write) -> None:
                 if len(out) > CHUNK_PARTS:
                     write("".join(out))
                     out.clear()
-            emit(close_list)
+            emit("[]" if lead is open_list else close_list)  # only a generator can yield nothing
         else:
             text = f"{open_list}{sep.join([scalar(v) for v in value])}{close_list}"
             mine[id(value)] = text
+            held.append(value)
             emit(text)
 
     try:
@@ -330,7 +340,9 @@ def write_report(doc: object, write) -> None:
         emit("\n")
         write("".join(out))
     finally:
-        out.clear()  # render refers to itself, so this frame outlives the call until the cycle collector runs
+        # render refers to itself, so this frame outlives the call until the cycle collector runs
+        out.clear()
+        held.clear()
 
 
 def dumps_report(doc: object) -> str:

@@ -35,8 +35,8 @@ HUGE = [str(2**64), str(2**64 + 1), str(10**30)]
 
 # flag -> (values it takes at parsing, every value drawn for it)
 VALUES = {
-    "--max-states": (["1", "2", "3"] + HUGE, SMALL + HUGE + TEXT),
-    "--samples": (["0", "1", "3"] + HUGE, SMALL + HUGE + TEXT),
+    "--max-states": (["1", "2", "3"], SMALL + HUGE + TEXT),
+    "--samples": (["0", "1", "3"], SMALL + HUGE + TEXT),
     "--seed": (["0", "1956"] + HUGE, SMALL + HUGE + TEXT + [str(-(2**64))]),
     "--tol": (["0", "1e-9", "0.5"], ["-1", "1e308", str(2**64)] + TEXT),
     "--format": (["report", "table"], TEXT),

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -10,8 +11,10 @@ import tracemalloc
 import pytest
 
 from moorelimit import cli
-from moorelimit.machines import Machine, Trace, enumerate_consistent
+from moorelimit.machines import Machine, Trace, consistent_encodings, enumerate_consistent
 from moorelimit.serialize import machine_to_dict, trace_from_dict
+
+GOLDEN_TRACE = os.path.join(os.path.dirname(__file__), "golden", "trace.json")
 
 
 def write_json(path, doc):
@@ -406,7 +409,7 @@ def test_enumerate_rows_equal_the_documents_of_enumerated_machines(capsys, tmp_p
 
 def test_all_consistent_replay_rejects_a_corrupted_row(capsys):
     trace = Trace((0, 1, 1, 0), ("x", "y", "x"))
-    argv = ["enumerate", os.path.join(os.path.dirname(__file__), "golden", "trace.json"), "--max-states", "3"]
+    argv = ["enumerate", GOLDEN_TRACE, "--max-states", "3"]
     rows = run_report(capsys, argv)[1]["results"]["machines"]
     assert rows and all(cli._row_reproduces(row, trace) for row in rows)
     for row in rows:
@@ -418,6 +421,54 @@ def test_all_consistent_replay_rejects_a_corrupted_row(capsys):
         redirected = json.loads(json.dumps(row))
         redirected["delta"][0][row["inputs"].index("x")] = wrong
         assert not cli._row_reproduces(redirected, trace)
+
+
+def test_all_consistent_replays_the_rows_as_written(capsys, monkeypatch):
+    """The replay reads each row the report renders, so a row corrupted between
+    the search and the writing fails the check and the exit code."""
+    rows = cli.encoding_rows
+
+    def one_row_flipped(*args):
+        for i, row in enumerate(rows(*args)):
+            yield {**row, "lambda": [1 - out for out in row["lambda"]]} if i == 1 else row
+
+    monkeypatch.setattr(cli, "encoding_rows", one_row_flipped)
+    argv = ["enumerate", GOLDEN_TRACE, "--max-states", "3"]
+    code, report = run_report(capsys, argv)
+    assert code == 1
+    assert report["checks"] == {"counts_nondecreasing": True, "all_consistent": False, "all_within_bound": True}
+    with open(os.path.join(os.path.dirname(GOLDEN_TRACE), "expected", "enumerate.json"), encoding="utf-8") as fh:
+        written = json.load(fh)["results"]["machines"]
+    written[1]["lambda"] = [1 - out for out in written[1]["lambda"]]
+    assert report["results"]["machines"] == written
+    assert cli.main([*argv, "--format", "table"]) == 1
+    assert capsys.readouterr().out == "max_states,count\n1,0\n2,2\n3,59\n"
+
+
+XYX = {"steps": [{"output": 0}, {"output": 1, "input": "a"}, {"output": 0, "input": "b"}], "input_alphabet": ["a", "b"]}
+
+
+@pytest.mark.parametrize("form", ["report", "table"])
+def test_enumerate_holds_no_rows_beyond_its_encodings(capsys, tmp_path, form):
+    # the 6998 rows of the x,y,x trace at N=4 took about 2.5 MB when they were all kept
+    path = write_json(tmp_path / "xyx.json", XYX)
+    argv = ["enumerate", path, "--max-states", "4"]
+    argv += ["--out", str(tmp_path / "report.json")] if form == "report" else ["--format", "table"]
+
+    def peak(run) -> int:
+        gc.collect()  # a full collection empties the free lists, which tracemalloc does not see reused
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert cli.main(argv) == 0  # warm up: imports and first-call caches
+    capsys.readouterr()
+    search = peak(lambda: consistent_encodings(trace_from_dict(XYX), 4))
+    assert peak(lambda: cli.main(argv)) - search < 512 * 1024
+    assert capsys.readouterr().out == ("" if form == "report" else "max_states,count\n1,0\n2,4\n3,142\n4,6998\n")
 
 
 def test_enumerate_requires_max_states(trace01):
@@ -448,18 +499,39 @@ def test_negative_seed_is_rejected_at_parsing_naming_flag_and_value(capsys, argv
 @pytest.mark.parametrize(
     "argv",
     [
-        ["chsh", "--samples", str(10**30)],
-        ["enumerate", os.path.join(os.path.dirname(__file__), "golden", "trace.json"), "--max-states", str(2**64)],
+        ["chsh", "--samples", str(2**64)],
+        ["enumerate", GOLDEN_TRACE, "--max-states", str(2**64)],
+        ["noclone", "--samples", str(2**64)],
+        ["geiger", "--samples", str(2**64)],
     ],
     ids=lambda argv: argv[0],
 )
 def test_count_too_large_to_use_exits_2_with_one_error_line(capsys, argv):
-    # both fail converting the count to a machine integer, before any allocation
-    assert cli.main(argv) == 2
+    # refused at parsing, before a count is converted to a machine integer or a loop starts
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"moorelimit {argv[0]}: error: argument {argv[-2]}: must be <= {sys.maxsize}, got {argv[-1]}"]
     assert "Traceback" not in captured.err
+
+
+def test_a_state_bound_too_large_to_index_exits_2_naming_the_flag(capsys):
+    # sys.maxsize passes parsing, but the search's table over two inputs would need twice as many slots
+    assert cli.main(["enumerate", GOLDEN_TRACE, "--max-states", str(sys.maxsize)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: argument --max-states: must be <= {sys.maxsize // 2} over 2 inputs, got {sys.maxsize}\n"
+    )
+
+
+def test_a_seed_past_the_count_bound_is_still_taken(capsys):
+    # numpy seeds from any integer >= 0, so --seed has no upper bound
+    assert cli.main(["noclone", "--seed", str(2**64), "--samples", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**64
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ CASES = {
     "enumerate.json": ["enumerate", "trace.json", "--max-states", "3"],
     "enumerate.csv": ["enumerate", "trace.json", "--max-states", "3", "--format", "table"],
     "enumerate_ab.json": ["enumerate", "trace_ab.json", "--max-states", "3"],
+    "enumerate_ab.csv": ["enumerate", "trace_ab.json", "--max-states", "3", "--format", "table"],
     "distinguish.json": ["distinguish", "machine_a.json", "machine_b.json"],
     "distinguish.csv": ["distinguish", "machine_a.json", "machine_b.json", "--format", "table"],
     "distinguish_equivalent.json": ["distinguish", "machine_a.json", "machine_padded.json"],

@@ -365,8 +365,8 @@ def test_write_atomic_replaces_and_leaves_no_temp(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
-def wide_rows() -> list[dict]:
-    """The 6998 machine rows of the two-input x,y,x trace at N=4, as ``enumerate`` builds them."""
+def wide_rows():
+    """The 6998 machine rows of the two-input x,y,x trace at N=4, as ``enumerate`` yields them."""
     trace = Trace((0, 1, 0), ("a", "b"))
     outputs, inputs = trace.alphabets
     return encoding_rows(consistent_encodings(trace, 4), inputs, outputs)
@@ -376,7 +376,7 @@ CHUNK_BOUND = 256 * 1024  # characters; the whole report below is about 3.5 MB
 
 
 def test_write_report_streams_in_bounded_chunks():
-    doc = {"command": "enumerate", "results": {"count": 6998, "machines": wide_rows()}, "checks": {"ok": True}}
+    doc = {"command": "enumerate", "results": {"count": 6998, "machines": list(wide_rows())}, "checks": {"ok": True}}
     assert len(doc["results"]["machines"]) == 6998
     chunks = []
     write_report(doc, chunks.append)
@@ -388,7 +388,7 @@ def test_write_report_streams_in_bounded_chunks():
 
 
 def test_write_atomic_keeps_the_old_target_when_rendering_fails(tmp_path):
-    rows = wide_rows()
+    rows = list(wide_rows())
     rows.append({"states": object()})  # the last row holds a value json refuses
     target = tmp_path / "report.json"
     target.write_bytes(b"old bytes\n")
@@ -407,3 +407,60 @@ def test_write_atomic_keeps_the_old_target_when_rendering_fails(tmp_path):
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
+
+# A generator renders as the array of what it yields: the text json gives for
+# the document with each generator replaced by that list.
+
+
+def test_dumps_report_renders_an_empty_generator_as_an_empty_array():
+    assert dumps_report({"rows": (row for row in ()), "after": []}) == reference_dumps({"rows": [], "after": []})
+
+
+def test_dumps_report_renders_freshly_built_lists_a_generator_yields():
+    # each list is freed once rendered unless the renderer keeps it, so an
+    # identity memo that kept only ids would find a later list under an old id
+    doc = ([i, i + 1] for i in range(50))
+    assert dumps_report(doc) == reference_dumps([[i, i + 1] for i in range(50)])
+
+
+def test_dumps_report_renders_a_generator_nested_in_a_dict_in_a_list():
+    shared = ["a", 1]
+
+    def doc(rows):
+        return [{"rows": rows([{"k": shared, "v": [j, None]} for j in range(3)]), "n": 3}, shared]
+
+    assert dumps_report(doc(lambda items: (item for item in items))) == reference_dumps(doc(list))
+
+
+def test_write_report_streams_the_wide_rows_from_their_generator():
+    def doc(rows):
+        return {"command": "enumerate", "results": {"count": 6998, "machines": rows}, "checks": {"ok": True}}
+
+    chunks = []
+    write_report(doc(wide_rows()), chunks.append)
+    assert len(chunks) > 1
+    assert max(len(chunk) for chunk in chunks) < CHUNK_BOUND
+    assert "".join(chunks) == reference_dumps(doc(list(wide_rows())))
+
+
+def test_write_atomic_keeps_the_old_target_when_a_generator_yields_a_refused_value(tmp_path):
+    def rows():
+        yield from wide_rows()
+        yield {"states": object()}
+
+    target = tmp_path / "report.json"
+    target.write_bytes(b"old bytes\n")
+    written = []
+
+    def produce(write):
+        def counted(chunk):
+            written.append(len(chunk))
+            return write(chunk)
+
+        write_report({"machines": rows()}, counted)
+
+    with pytest.raises(TypeError):
+        write_atomic(target, produce)
+    assert written  # chunks reached the temp file before the render failed
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
