@@ -1,4 +1,5 @@
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -79,6 +80,37 @@ def test_outcome_statistics_checks_dimension():
 def test_observer_rejects_mismatched_povm_dim():
     with pytest.raises(DimensionError):
         ObserverModel(env_dim=3, povms={"z": basis_povm(2)})
+
+
+def test_observer_value_semantics():
+    povms = {"z": basis_povm(2)}
+    model = ObserverModel(2, povms)
+    assert repr(model) == f"ObserverModel(env_dim=2, povms={model.povms!r})"
+    assert repr(model).startswith("ObserverModel(env_dim=2, povms=mappingproxy({'z': Povm(effects=(Effect(matrix=array([")
+    assert repr(ObserverModel(env_dim=2, povms=povms)) == repr(model)
+    assert model == model and not model != model
+    assert model != object()
+    for name in ("env_dim", "povms"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, getattr(model, name))
+        with pytest.raises(AttributeError):
+            delattr(model, name)
+    with pytest.raises(AttributeError):
+        model.extra = 1
+
+
+def test_observer_povms_are_a_read_only_mapping():
+    z = basis_povm(2)
+    povms = {"z": z}
+    model = ObserverModel(env_dim=2, povms=povms)
+    povms["x"] = basis_povm(2)
+    assert type(model.povms) is MappingProxyType
+    assert dict(model.povms) == {"z": z}
+    with pytest.raises(TypeError):
+        model.povms["x"] = z
+    with pytest.raises(TypeError):
+        del model.povms["z"]
+    assert dict(model.povms) == {"z": z}
 
 
 def test_indistinguishable_reports_worst_deviation():

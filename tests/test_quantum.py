@@ -103,6 +103,67 @@ def test_povm_rejects_mixed_dimensions():
 
 
 # ---------------------------------------------------------------------------
+# value semantics: repr over the fields, read-only arrays, no assignment
+
+
+def value_cases():
+    """(a value built positionally, the same value built by keyword, its field
+    names, the start of its repr) for each of the four operator classes."""
+    amps = np.array([1.0, 0.0])
+    half = 0.5 * np.eye(2)
+    effects = (Effect(half), Effect(half))
+    return [
+        (StateVector(amps), StateVector(amplitudes=amps), ("amplitudes",), "StateVector(amplitudes=array(["),
+        (DensityOperator(half), DensityOperator(matrix=half), ("matrix",), "DensityOperator(matrix=array(["),
+        (Effect(half), Effect(matrix=half), ("matrix",), "Effect(matrix=array(["),
+        (
+            Povm(effects, ("x", "y")),
+            Povm(effects=effects, labels=("x", "y")),
+            ("effects", "labels"),
+            "Povm(effects=(Effect(matrix=array([",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("case", value_cases(), ids=lambda case: type(case[0]).__name__)
+def test_value_semantics(case):
+    value, by_keyword, names, start = case
+    fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
+    assert repr(value) == f"{type(value).__name__}({fields})"
+    assert repr(value).startswith(start)
+    assert repr(by_keyword) == repr(value)
+    assert value == value and not value != value
+    assert value != object() and value != fields
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(by_keyword, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == repr(by_keyword)
+
+
+def test_stored_arrays_are_read_only_copies():
+    amps = np.array([1.0, 0.0])
+    half = 0.5 * np.eye(2)
+    psi, rho, effect = StateVector(amps), DensityOperator(half), Effect(half)
+    povm = Povm([half, half], [0, 1])
+    stored = [psi.amplitudes, rho.matrix, effect.matrix, *(e.matrix for e in povm.effects)]
+    amps[:] = (0.0, 1.0)
+    half[0, 0] = 0.0
+    for array in stored:
+        assert array.dtype == complex and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert psi.amplitudes.tolist() == [1.0, 0.0]
+    for array in stored[1:]:
+        assert array.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    assert type(povm.effects) is tuple and all(type(e) is Effect for e in povm.effects)
+    assert povm.labels == (0, 1) and type(povm.labels) is tuple
+
+
+# ---------------------------------------------------------------------------
 # Born rule
 
 
