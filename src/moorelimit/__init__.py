@@ -14,7 +14,6 @@ from .machines import (
     Experiment,
     Machine,
     Trace,
-    WitnessPair,
     canonical_form,
     consistent,
     consistent_encodings,

@@ -82,6 +82,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _path(text: str) -> str:
+    """An argparse type for ``--config`` and ``--out``: a file name, never empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a file name, got ''")
+    return text
+
+
 def _load_trace(args) -> tuple[Trace, dict]:
     trace = trace_from_dict(load_json(args.trace), where=str(args.trace))
     echo = {
@@ -162,24 +169,30 @@ def _experiment_table(results: dict):
     return ["word", "position", "output_a", "output_b"], rows
 
 
+def _separation(machine_a, machine_b, experiment) -> dict:
+    """The ``separating_experiment``, ``outputs_a`` and ``outputs_b`` keys of a
+    results block: ``experiment``'s words and each machine's outputs on them."""
+    return {
+        "separating_experiment": [list(w) for w in experiment.words],
+        "outputs_a": run_experiment(machine_a, experiment),
+        "outputs_b": run_experiment(machine_b, experiment),
+    }
+
+
 def _witness(trace: Trace) -> tuple[dict, dict]:
     """The results block and the four checks of ``trace``'s witness pair: its two
     machines, the experiment separating them and their outputs on it."""
-    pair = witness_moore(trace)
-    outputs_a = run_experiment(pair.machine_a, pair.separating)
-    outputs_b = run_experiment(pair.machine_b, pair.separating)
+    machine_a, machine_b, separating = witness_moore(trace)
     results = {
-        "machine_a": machine_to_dict(pair.machine_a),
-        "machine_b": machine_to_dict(pair.machine_b),
-        "separating_experiment": [list(w) for w in pair.separating.words],
-        "outputs_a": outputs_a,
-        "outputs_b": outputs_b,
+        "machine_a": machine_to_dict(machine_a),
+        "machine_b": machine_to_dict(machine_b),
+        **_separation(machine_a, machine_b, separating),
     }
     checks = {
-        "machine_a_consistent": consistent(pair.machine_a, trace),
-        "machine_b_consistent": consistent(pair.machine_b, trace),
-        "machines_inequivalent": not equivalent(pair.machine_a, pair.machine_b),
-        "experiment_separates": outputs_a != outputs_b,
+        "machine_a_consistent": consistent(machine_a, trace),
+        "machine_b_consistent": consistent(machine_b, trace),
+        "machines_inequivalent": not equivalent(machine_a, machine_b),
+        "experiment_separates": results["outputs_a"] != results["outputs_b"],
     }
     return results, checks
 
@@ -265,16 +278,10 @@ def cmd_distinguish(args) -> int:
     experiment = distinguishing_experiment(machine_a, machine_b)
     same = experiment is None
     results = {"equivalent": same, "separating_experiment": None}
-    separated = False
     if not same:
-        outputs_a = run_experiment(machine_a, experiment)
-        outputs_b = run_experiment(machine_b, experiment)
-        results["separating_experiment"] = [list(w) for w in experiment.words]
-        results["outputs_a"] = outputs_a
-        results["outputs_b"] = outputs_b
-        separated = outputs_a != outputs_b
+        results.update(_separation(machine_a, machine_b, experiment))  # keeps the key's place
     echo = {"machine_a": str(args.machine_a), "machine_b": str(args.machine_b)}
-    checks = {"experiment_iff_inequivalent": same or separated}
+    checks = {"experiment_iff_inequivalent": same or results["outputs_a"] != results["outputs_b"]}
     return _finish(args, "distinguish", echo, results, checks, lambda: _experiment_table(results))
 
 
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("report", "table"), default="report", help="output format"
     )
-    common.add_argument("--out", default=None, help="write output to PATH (atomic)")
+    common.add_argument("--out", type=_path, default=None, help="write output to PATH (atomic)")
 
     # only the commands that draw random numbers take a seed; the others echo DEFAULT_SEED
     sampling = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("chsh", parents=[sampling], help="CHSH value vs the LHV bound")
-    p.add_argument("--config", default=None, help="JSON with optional 'state' and 'angles'")
+    p.add_argument("--config", type=_path, default=None, help="JSON with optional 'state' and 'angles'")
     p.add_argument("--samples", type=_count_at_least(0, sys.maxsize), default=None, help="finite-sample estimates per setting")
     p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for checks")
     p.set_defaults(func=_command("demos", "cmd_chsh"))
@@ -385,18 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_command("contextuality", "cmd_ks"))
 
     p = sub.add_parser("noclone", parents=[sampling], help="no-cloning gaps and the record-level analogue")
-    p.add_argument("--config", default=None, help="JSON with a 'pairs' array of state pairs")
+    p.add_argument("--config", type=_path, default=None, help="JSON with a 'pairs' array of state pairs")
     p.add_argument("--samples", type=_count_at_least(1, sys.maxsize), default=100, help="number of random pairs")
     p.add_argument("--tol", type=_tolerance, default=1e-12, help="tolerance for checks")
     p.set_defaults(func=_command("demos", "cmd_noclone"))
 
     p = sub.add_parser("exchange", parents=[common], help="records invariant under source exchange")
-    p.add_argument("--config", default=None, help="scenario JSON (sources, detector, observer)")
+    p.add_argument("--config", type=_path, default=None, help="scenario JSON (sources, detector, observer)")
     p.add_argument("--tol", type=_tolerance, default=1e-9, help="tolerance for checks")
     p.set_defaults(func=_command("demos", "cmd_exchange"))
 
     p = sub.add_parser("geiger", parents=[sampling], help="deterministic counter outcomes per source")
-    p.add_argument("--config", default=None, help="scenario JSON (sources, detector)")
+    p.add_argument("--config", type=_path, default=None, help="scenario JSON (sources, detector)")
     p.add_argument("--samples", type=_count_at_least(0, sys.maxsize), default=None, help="Poisson-sampled counts per source")
     p.set_defaults(func=_command("detector", "cmd_geiger"))
 

@@ -205,15 +205,6 @@ class Experiment(_Value):
         self.__dict__["words"] = tuple(tuple(w) for w in words)
 
 
-class WitnessPair(_Value):
-    """Two trace-consistent, non-equivalent machines and an experiment separating them."""
-
-    _fields = ("machine_a", "machine_b", "separating")
-
-    def __init__(self, machine_a: Machine, machine_b: Machine, separating: Experiment):
-        self.__dict__.update(machine_a=machine_a, machine_b=machine_b, separating=separating)
-
-
 def run(machine: Machine, word: Word) -> list[Symbol]:
     """Run ``machine`` on ``word`` and return the |word|+1 emitted outputs."""
     index = machine._input_index
@@ -379,8 +370,9 @@ def trace_to_fsm(trace: Trace) -> Machine:
     )
 
 
-def witness_moore(trace: Trace) -> WitnessPair:
-    """Two non-equivalent machines that both reproduce the trace, plus a separator.
+def witness_moore(trace: Trace) -> tuple[Machine, Machine, Experiment]:
+    """``(machine_a, machine_b, separating)``: two non-equivalent machines that
+    both reproduce the trace, and an experiment separating them.
 
     Machine A is the minimized trace chain (it repeats the final record
     forever).  Machine B extends the chain by one fresh state whose output is
@@ -416,7 +408,7 @@ def witness_moore(trace: Trace) -> WitnessPair:
     separating = distinguishing_experiment(machine_a, machine_b)
     if separating is None:  # impossible by construction
         raise AssertionError("witness construction produced equivalent machines")
-    return WitnessPair(machine_a=machine_a, machine_b=machine_b, separating=separating)
+    return machine_a, machine_b, separating
 
 
 def consistent_encodings(trace: Trace, max_states: int) -> list[tuple[int, ...]]:

@@ -14,12 +14,12 @@ decides which tolerance makes them indistinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
+from .machines import _Value
 from .quantum import (
     DensityOperator,
     DimensionError,
@@ -33,25 +33,24 @@ class StructureError(ValueError):
     """Two statistics maps are not comparable (names or outcomes differ)."""
 
 
-@dataclass(frozen=True)
-class ObserverModel:
-    """A finite collection of named POVMs, all over the same environment dimension."""
+class ObserverModel(_Value):
+    """A finite collection of named POVMs, all over the same environment dimension,
+    held in a read-only mapping."""
 
-    env_dim: int
-    povms: Mapping[str, Povm]
+    _fields = ("env_dim", "povms")
 
-    def __post_init__(self):
-        if self.env_dim < 1:
+    def __init__(self, env_dim: int, povms: Mapping[str, Povm]):
+        if env_dim < 1:
             raise DimensionError("environment dimension must be >= 1")
-        povms = dict(self.povms)
+        povms = dict(povms)
         if not povms:
             raise ValueError("an observer carries at least one POVM")
         for name, povm in povms.items():
-            if povm.dim != self.env_dim:
+            if povm.dim != env_dim:
                 raise DimensionError(
-                    f"POVM {name!r} has dim {povm.dim}, observer expects {self.env_dim}"
+                    f"POVM {name!r} has dim {povm.dim}, observer expects {env_dim}"
                 )
-        object.__setattr__(self, "povms", MappingProxyType(povms))
+        self.__dict__.update(env_dim=env_dim, povms=MappingProxyType(povms))
 
 
 def lift_povm(povm: Povm, extra_dim: int) -> Povm:

@@ -1,21 +1,21 @@
 """Dense complex linear algebra for states, effects, POVMs and Born-rule statistics.
 
-Everything is a plain numpy array under a thin validated wrapper.  Dimensions
-stay at desk scale (<= 64), so validation always runs eagerly and matrices are
-frozen after construction to keep every operation deterministic.
+Everything is a plain numpy array under a thin validated wrapper, an immutable
+value like a ``Machine``.  Dimensions stay at desk scale (<= 64), so validation
+always runs eagerly and arrays are frozen after construction to keep every
+operation deterministic.  One tolerance, ``TAU_NUM``, bounds every check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 import numpy as np
 
-#: Numerical tolerance for operator invariants (Hermiticity, positivity, trace).
+from .machines import _Value
+
+#: Numerical tolerance for every invariant: normalization, Hermiticity, positivity, trace.
 TAU_NUM = 1e-9
-#: Numerical tolerance for state normalization.
-TAU_NORM = 1e-9
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -45,41 +45,39 @@ def _hermitian_spectrum(matrix, what: str) -> tuple[np.ndarray, float, float]:
     return m, float(vals[0]), float(vals[-1])
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Value):
     """A unit vector in a finite-dimensional complex Hilbert space."""
 
-    amplitudes: np.ndarray
+    _fields = ("amplitudes",)
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes: np.ndarray):
+        amps = np.array(amplitudes, dtype=complex).reshape(-1)
         if amps.size < 1:
             raise DimensionError("state vector needs dimension >= 1")
         norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= TAU_NORM:  # NaN fails too
-            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {TAU_NORM}")
+        if not abs(norm - 1.0) <= TAU_NUM:  # NaN fails too
+            raise ValueError(f"state vector norm {norm} deviates from 1 beyond {TAU_NUM}")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        self.__dict__["amplitudes"] = amps
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(_Value):
     """Hermitian, positive semidefinite, unit-trace operator."""
 
-    matrix: np.ndarray
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        m, lo, _ = _hermitian_spectrum(self.matrix, "density operator")
+    def __init__(self, matrix: np.ndarray):
+        m, lo, _ = _hermitian_spectrum(matrix, "density operator")
         if lo < -TAU_NUM:
             raise ValueError(f"density operator has negative eigenvalue {lo}")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TAU_NUM:
             raise ValueError(f"density operator trace {tr} deviates from 1")
-        object.__setattr__(self, "matrix", m)
+        self.__dict__["matrix"] = m
 
     @property
     def dim(self) -> int:
@@ -90,37 +88,32 @@ class DensityOperator:
         return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(_Value):
     """A POVM element: Hermitian with spectrum inside [0, 1]."""
 
-    matrix: np.ndarray
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        m, lo, hi = _hermitian_spectrum(self.matrix, "effect")
+    def __init__(self, matrix: np.ndarray):
+        m, lo, hi = _hermitian_spectrum(matrix, "effect")
         if lo < -TAU_NUM or hi > 1.0 + TAU_NUM:
             raise ValueError(f"effect spectrum [{lo}, {hi}] outside [0, 1]")
-        object.__setattr__(self, "matrix", m)
+        self.__dict__["matrix"] = m
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(_Value):
     """An ordered, labelled collection of effects summing to the identity."""
 
-    effects: tuple[Effect, ...]
-    labels: tuple[Union[str, int], ...]
+    _fields = ("effects", "labels")
 
-    def __post_init__(self):
-        effects = tuple(
-            e if isinstance(e, Effect) else Effect(e) for e in self.effects
-        )
+    def __init__(self, effects: Sequence, labels: Sequence[str | int]):
+        effects = tuple(e if isinstance(e, Effect) else Effect(e) for e in effects)
         if not effects:
             raise ValueError("a POVM has at least one effect")
-        labels = tuple(self.labels)
+        labels = tuple(labels)
         if len(labels) != len(effects):
             raise ValueError("one label per effect required")
         if len(set(labels)) != len(labels):
@@ -133,8 +126,7 @@ class Povm:
         dev = float(np.max(np.abs(total - np.eye(dim))))
         if dev > TAU_NUM:
             raise ValueError(f"effects sum deviates from identity by {dev}")
-        object.__setattr__(self, "effects", effects)
-        object.__setattr__(self, "labels", labels)
+        self.__dict__.update(effects=effects, labels=labels)
 
     @property
     def dim(self) -> int:

@@ -352,16 +352,15 @@ def dumps_report(doc: object) -> str:
     return "".join(chunks)
 
 
-def write_atomic(path, content) -> None:
-    """Write ``content`` via a sibling temp file and rename, so readers never see
-    partial output.
+def write_atomic(path, produce) -> None:
+    """Write the text ``produce(write)`` passes to ``write``, piece by piece, via
+    a sibling temp file and rename, so readers never see partial output.
 
-    ``content`` is a string, or a callable ``produce(write)`` that passes the
-    text to ``write`` piece by piece, such as ``lambda write:
-    write_report(doc, write)``.  If anything fails, the temp file is removed
-    and the old target is left as it was; an ``OSError`` names ``path``, not
-    the temp file.  The file gets the mode a plain ``open`` would give it
-    (0666 less the umask), not the 0600 of the temp file.
+    ``produce`` is such as ``lambda write: write_report(doc, write)``.  If
+    anything fails, the temp file is removed and the old target is left as it
+    was; an ``OSError`` names ``path``, not the temp file.  The file gets the
+    mode a plain ``open`` would give it (0666 less the umask), not the 0600 of
+    the temp file.
     """
     target = Path(path)
     tmp = None
@@ -371,10 +370,7 @@ def write_atomic(path, content) -> None:
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
-            if isinstance(content, str):
-                fh.write(content)
-            else:
-                content(fh.write)
+            produce(fh.write)
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

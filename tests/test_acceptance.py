@@ -75,14 +75,14 @@ def test_criterion_1_witness_suite():
         trace = _random_trace(
             rng, max_len=10, n_outputs=rng.choice((2, 3)), two_inputs=rng.random() < 0.3
         )
-        pair = witness_moore(trace)
-        outs_a = run_experiment(pair.machine_a, pair.separating)
-        outs_b = run_experiment(pair.machine_b, pair.separating)
-        if not consistent(pair.machine_a, trace):
+        machine_a, machine_b, separating = witness_moore(trace)
+        outs_a = run_experiment(machine_a, separating)
+        outs_b = run_experiment(machine_b, separating)
+        if not consistent(machine_a, trace):
             problems.append((i, trace, "machine_a inconsistent"))
-        if not consistent(pair.machine_b, trace):
+        if not consistent(machine_b, trace):
             problems.append((i, trace, "machine_b inconsistent"))
-        if equivalent(pair.machine_a, pair.machine_b):
+        if equivalent(machine_a, machine_b):
             problems.append((i, trace, "machines equivalent"))
         if outs_a == outs_b:
             problems.append((i, trace, "experiment does not separate"))

@@ -518,6 +518,29 @@ def test_count_too_large_to_use_exits_2_with_one_error_line(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chsh", "--config", ""],
+        ["noclone", "--config", ""],
+        ["exchange", "--config", ""],
+        ["geiger", "--config", ""],
+        ["minimize", os.path.join(os.path.dirname(GOLDEN_TRACE), "machine_padded.json"), "--out", ""],
+        ["chsh", "--out", ""],
+    ],
+    ids=" ".join,
+)
+def test_an_empty_file_name_exits_2_at_parsing_naming_the_flag(capsys, argv):
+    # an empty name is not "not given": it neither falls back to the defaults nor to stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"moorelimit {argv[0]}: error: argument {argv[-2]}: expected a file name, got ''"]
+
+
 def test_a_state_bound_too_large_to_index_exits_2_naming_the_flag(capsys):
     # sys.maxsize passes parsing, but the search's table over two inputs would need twice as many slots
     assert cli.main(["enumerate", GOLDEN_TRACE, "--max-states", str(sys.maxsize)]) == 2

@@ -1,6 +1,6 @@
 """Every name a module under ``src/moorelimit/`` imports is used in that module,
-and the machine commands, ``ks`` and ``geiger`` import no physics module, no
-``dataclasses`` and, for a report, no ``csv``."""
+no module imports ``dataclasses`` or ``inspect``, and the machine commands,
+``ks`` and ``geiger`` load no physics module and, for a report, no ``csv``."""
 
 import ast
 import functools
@@ -19,9 +19,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # samples or checks a config's quantum blocks
 PHYSICS = {"numpy", "moorelimit.demos", "moorelimit.nogo", "moorelimit.quantum", "moorelimit.observer"}
 
-# the modules every machine command, ks and geiger load, and what they must not import:
-# ``dataclasses`` pulls in ``inspect`` and with it ``ast``, ``dis`` and ``tokenize``
-MACHINE_PATH = ("cli.py", "machines.py", "kernels.py", "serialize.py", "detector.py", "contextuality.py")
+# what no module of the package imports: ``dataclasses`` pulls in ``inspect``
+# and with it ``ast``, ``dis`` and ``tokenize``
 HEAVY = {"dataclasses", "inspect"}
 
 # (module file, name) imported on purpose and never used there
@@ -69,7 +68,7 @@ def imported_packages(source: str) -> set[str]:
     return {name.split(".")[0] for name in names}
 
 
-@pytest.mark.parametrize("name", MACHINE_PATH)
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_machine_path_imports_no_dataclasses_or_inspect(name):
     assert imported_packages((PACKAGE / name).read_text()) & HEAVY == set()
 

@@ -10,7 +10,6 @@ from moorelimit import (
     Experiment,
     Machine,
     Trace,
-    WitnessPair,
     canonical_form,
     consistent,
     distinguishing_experiment,
@@ -392,13 +391,10 @@ def test_experiment_must_hold_a_word():
 
 def value_cases():
     """(value, an equal value, an unequal value, its field names, its field
-    values, its repr) for each of the four value classes."""
-    m = toggle()
-    c = constant()
-    sep = Experiment((("a",),))
+    values, its repr) for each of the three value classes."""
     return [
         (
-            m,
+            toggle(),
             Machine(2, ["a"], [0, 1], [[1], [0]], [0, 1]),
             Machine(2, ("a",), (0, 1), ((1,), (0,)), (0, 1), initial=1),
             ("state_count", "input_alphabet", "output_alphabet", "transition", "output", "initial"),
@@ -421,14 +417,6 @@ def value_cases():
             ("words",),
             ((("a", "b"), ()),),
             "Experiment(words=(('a', 'b'), ()))",
-        ),
-        (
-            WitnessPair(c, m, sep),
-            WitnessPair(machine_a=constant(), machine_b=toggle(), separating=Experiment([["a"]])),
-            WitnessPair(m, c, sep),
-            ("machine_a", "machine_b", "separating"),
-            (c, m, sep),
-            f"WitnessPair(machine_a={c!r}, machine_b={m!r}, separating={sep!r})",
         ),
     ]
 
@@ -560,19 +548,19 @@ def test_trace_to_fsm_always_consistent():
 
 
 def test_witness_two_step_trace():
-    pair = witness_moore(Trace((0, 1)))
-    assert pair.machine_a.state_count == 2
-    assert pair.machine_b.state_count == 3
-    assert pair.separating.words == (("a", "a"),)
-    assert run_experiment(pair.machine_a, pair.separating) == [[0, 1, 1]]
-    assert run_experiment(pair.machine_b, pair.separating) == [[0, 1, 0]]
+    machine_a, machine_b, separating = witness_moore(Trace((0, 1)))
+    assert machine_a.state_count == 2
+    assert machine_b.state_count == 3
+    assert separating.words == (("a", "a"),)
+    assert run_experiment(machine_a, separating) == [[0, 1, 1]]
+    assert run_experiment(machine_b, separating) == [[0, 1, 0]]
 
 
 def test_witness_constant_trace_with_spare_symbol():
-    pair = witness_moore(Trace((3, 3, 3), output_alphabet=(3, 7)))
-    assert pair.machine_a.state_count == 1
-    assert pair.machine_b.state_count == 4
-    assert pair.separating.words == (("a", "a", "a"),)
+    machine_a, machine_b, separating = witness_moore(Trace((3, 3, 3), output_alphabet=(3, 7)))
+    assert machine_a.state_count == 1
+    assert machine_b.state_count == 4
+    assert separating.words == (("a", "a", "a"),)
 
 
 def test_witness_degenerate_alphabet():
@@ -591,18 +579,18 @@ def test_witness_properties_on_random_traces():
         n_out = rng.choice([2, 3])
         outputs = tuple(rng.randrange(n_out) for _ in range(rng.randint(1, 8)))
         trace = Trace(outputs, output_alphabet=tuple(range(n_out)))
-        pair = witness_moore(trace)
-        assert consistent(pair.machine_a, trace)
-        assert consistent(pair.machine_b, trace)
-        assert not equivalent(pair.machine_a, pair.machine_b)
-        outs_a = run_experiment(pair.machine_a, pair.separating)
-        outs_b = run_experiment(pair.machine_b, pair.separating)
+        machine_a, machine_b, separating = witness_moore(trace)
+        assert consistent(machine_a, trace)
+        assert consistent(machine_b, trace)
+        assert not equivalent(machine_a, machine_b)
+        outs_a = run_experiment(machine_a, separating)
+        outs_b = run_experiment(machine_b, separating)
         assert outs_a != outs_b
 
 
 def test_witness_with_recorded_inputs():
     trace = Trace((0, 1, 1), ("b", "a"), input_alphabet=("a", "b"))
-    pair = witness_moore(trace)
-    assert consistent(pair.machine_a, trace)
-    assert consistent(pair.machine_b, trace)
-    assert not equivalent(pair.machine_a, pair.machine_b)
+    machine_a, machine_b, _ = witness_moore(trace)
+    assert consistent(machine_a, trace)
+    assert consistent(machine_b, trace)
+    assert not equivalent(machine_a, machine_b)

@@ -360,7 +360,7 @@ def test_dumps_report_keeps_numpy_floats_as_json_does():
 def test_write_atomic_replaces_and_leaves_no_temp(tmp_path):
     target = tmp_path / "out.json"
     target.write_text("old")
-    write_atomic(target, "new contents\n")
+    write_atomic(target, lambda write: write("new contents\n"))
     assert target.read_text() == "new contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
