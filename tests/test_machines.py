@@ -21,6 +21,8 @@ from moorelimit import (
     witness_moore,
 )
 
+from oracle import machine_as_tuple, naive_equivalent
+
 
 def constant(value=0, alphabet=(0, 1)):
     return Machine(
@@ -302,6 +304,45 @@ def test_canonical_form_idempotent_on_random_machines():
         m = random_machine(rng)
         c = canonical_form(m)
         assert canonical_form(c) == c
+
+
+def _renumbered(m, perm):
+    """``m`` with state ``s`` renamed ``perm[s]``, the initial state moved along."""
+    transition = [None] * m.state_count
+    output = [None] * m.state_count
+    for s in range(m.state_count):
+        transition[perm[s]] = tuple(perm[t] for t in m.transition[s])
+        output[perm[s]] = m.output[s]
+    return Machine(
+        state_count=m.state_count,
+        input_alphabet=m.input_alphabet,
+        output_alphabet=m.output_alphabet,
+        transition=transition,
+        output=output,
+        initial=perm[m.initial],
+    )
+
+
+def test_minimize_is_minimal_canonical_and_blind_to_numbering():
+    rng = random.Random(25)
+    for _ in range(300):
+        n_inputs = rng.randint(1, 2)
+        m = random_machine(rng, n_states=rng.randint(1, 5 if n_inputs == 1 else 3), n_inputs=n_inputs)
+        small = minimize(m)
+        assert canonical_form(small) == small
+        # one state per oracle class among the states reachable from the initial one
+        reachable = [m.initial]
+        for s in reachable:
+            reachable += [t for t in m.transition[s] if t not in reachable]
+        n, _, delta, lam = machine_as_tuple(m)
+        classes = []
+        for s in reachable:
+            if not any(naive_equivalent((n, s, delta, lam), (n, c, delta, lam), n_inputs) for c in classes):
+                classes.append(s)
+        assert small.state_count == len(classes)
+        perm = list(range(m.state_count))
+        rng.shuffle(perm)
+        assert minimize(_renumbered(m, perm)) == small
 
 
 # ---------------------------------------------------------------------------
