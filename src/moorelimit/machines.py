@@ -12,7 +12,6 @@ with a minimal separating experiment.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Sequence
 
 from . import kernels
@@ -200,9 +199,10 @@ class Experiment(_Value):
     _fields = ("words",)
 
     def __init__(self, words: Iterable[Iterable[Symbol]]):
-        if len(words) == 0:
+        words = tuple(tuple(w) for w in words)
+        if not words:
             raise ValueError("an experiment contains at least one word")
-        self.__dict__["words"] = tuple(tuple(w) for w in words)
+        self.__dict__["words"] = words
 
 
 def run(machine: Machine, word: Word) -> list[Symbol]:
@@ -267,9 +267,8 @@ def distinguishing_experiment(a: Machine, b: Machine) -> Experiment | None:
     b_index = b._input_index
     start = (a.initial, b.initial)
     parent = {start: None}  # state pair -> (the pair it was first reached from, input)
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
+    order = [start]  # grows while it is walked: breadth-first order
+    for pair in order:
         s, t = pair
         if a.output[s] != b.output[t]:
             word = []
@@ -281,8 +280,32 @@ def distinguishing_experiment(a: Machine, b: Machine) -> Experiment | None:
             successor = (a.transition[s][i], b.transition[t][b_index[sym]])
             if successor not in parent:
                 parent[successor] = (pair, sym)
-                queue.append(successor)
+                order.append(successor)
     return None
+
+
+def _walk(machine: Machine, block: Sequence[int]) -> Machine:
+    """The blocks reachable from ``machine.initial``, taken as states and
+    numbered as a breadth-first walk first reaches them, inputs in alphabet
+    order.  The first state reached stands for its block, which is sound when
+    each block's states share their output and their successors' blocks, as
+    singletons and the blocks of :func:`moorelimit.kernels.refine` do.
+    """
+    number = {block[machine.initial]: 0}
+    order = [machine.initial]
+    for s in order:
+        for t in machine.transition[s]:
+            if block[t] not in number:
+                number[block[t]] = len(order)
+                order.append(t)
+    return Machine(
+        state_count=len(order),
+        input_alphabet=machine.input_alphabet,
+        output_alphabet=machine.output_alphabet,
+        transition=tuple(tuple(number[block[t]] for t in machine.transition[s]) for s in order),
+        output=tuple(machine.output[s] for s in order),
+        initial=0,
+    )
 
 
 def canonical_form(machine: Machine) -> Machine:
@@ -291,57 +314,20 @@ def canonical_form(machine: Machine) -> Machine:
     Inputs are visited in alphabet order, so two machines have identical
     canonical forms exactly when they are isomorphic after trimming.
     """
-    renumber = {machine.initial: 0}
-    order = [machine.initial]
-    queue = deque([machine.initial])
-    while queue:
-        s = queue.popleft()
-        for t in machine.transition[s]:
-            if t not in renumber:
-                renumber[t] = len(renumber)
-                order.append(t)
-                queue.append(t)
-    transition = tuple(tuple(renumber[t] for t in machine.transition[s]) for s in order)
-    output = tuple(machine.output[s] for s in order)
-    return Machine(
-        state_count=len(order),
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        transition=transition,
-        output=output,
-        initial=0,
-    )
+    return _walk(machine, range(machine.state_count))
 
 
 def minimize(machine: Machine) -> Machine:
     """Smallest machine equivalent to ``machine``, in canonical form.
 
     Partition refinement (:func:`moorelimit.kernels.refine`) groups the
-    states no experiment distinguishes; the quotient is then trimmed to
-    reachable classes.  Idempotent.
+    states no experiment distinguishes; the walk of :func:`canonical_form`
+    then numbers the groups it reaches, building one machine.  Idempotent.
     """
     block = kernels.refine(
-        list(zip(*machine.transition)),
-        [machine._output_index[sym] for sym in machine.output],
+        list(zip(*machine.transition)), [machine._output_index[sym] for sym in machine.output]
     )
-    n_blocks = max(block) + 1
-    rep = {}
-    for s, b in enumerate(block):
-        rep.setdefault(b, s)
-    transition = tuple(
-        tuple(block[machine.transition[rep[b]][i]] for i in range(len(machine.input_alphabet)))
-        for b in range(n_blocks)
-    )
-    output = tuple(machine.output[rep[b]] for b in range(n_blocks))
-    quotient = Machine(
-        state_count=n_blocks,
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        transition=transition,
-        output=output,
-        initial=block[machine.initial],
-    )
-    return canonical_form(quotient)
+    return _walk(machine, block)
 
 
 def trace_to_fsm(trace: Trace) -> Machine:

@@ -426,6 +426,12 @@ def test_experiment_must_hold_a_word():
         Experiment(())
 
 
+def test_experiment_takes_any_iterable_of_words():
+    assert Experiment(w for w in [["a"], iter("ab")]) == Experiment((("a",), ("a", "b")))
+    with pytest.raises(ValueError, match="^an experiment contains at least one word$"):
+        Experiment(w for w in [])
+
+
 # ---------------------------------------------------------------------------
 # value semantics: equality, hashing and repr over the fields, no assignment
 
