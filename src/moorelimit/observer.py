@@ -52,6 +52,10 @@ class ObserverModel(_Value):
                 )
         self.__dict__.update(env_dim=env_dim, povms=MappingProxyType(povms))
 
+    def _key(self) -> tuple:
+        # a mapping proxy is unhashable; equal mappings give equal frozensets
+        return (self.env_dim, frozenset(self.povms.items()))
+
 
 def lift_povm(povm: Povm, extra_dim: int) -> Povm:
     """Extend each effect as E -> E tensor I over degrees of freedom the POVM ignores.

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for states, effects, POVMs and Born-rule statistics.
 
 Everything is a plain numpy array under a thin validated wrapper, an immutable
-value like a ``Machine``.  Dimensions stay at desk scale (<= 64), so validation
+value like a ``Machine`` that compares and hashes by its arrays' shapes and
+entries.  Dimensions stay at desk scale (<= 64), so validation
 always runs eagerly and arrays are frozen after construction to keep every
 operation deterministic.  One tolerance, ``TAU_NUM``, bounds every check.
 """
@@ -45,7 +46,14 @@ def _hermitian_spectrum(matrix, what: str) -> tuple[np.ndarray, float, float]:
     return m, float(vals[0]), float(vals[-1])
 
 
-class StateVector(_Value):
+class _ArrayValue(_Value):
+    """A value over numpy arrays, compared and hashed by their shapes and entries."""
+
+    def _key(self) -> tuple:
+        return tuple([(a.shape, tuple(a.ravel().tolist())) for a in super()._key()])
+
+
+class StateVector(_ArrayValue):
     """A unit vector in a finite-dimensional complex Hilbert space."""
 
     _fields = ("amplitudes",)
@@ -65,7 +73,7 @@ class StateVector(_Value):
         return self.amplitudes.size
 
 
-class DensityOperator(_Value):
+class DensityOperator(_ArrayValue):
     """Hermitian, positive semidefinite, unit-trace operator."""
 
     _fields = ("matrix",)
@@ -88,7 +96,7 @@ class DensityOperator(_Value):
         return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
-class Effect(_Value):
+class Effect(_ArrayValue):
     """A POVM element: Hermitian with spectrum inside [0, 1]."""
 
     _fields = ("matrix",)

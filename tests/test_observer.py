@@ -89,6 +89,15 @@ def test_observer_value_semantics():
     assert repr(model).startswith("ObserverModel(env_dim=2, povms=mappingproxy({'z': Povm(effects=(Effect(matrix=array([")
     assert repr(ObserverModel(env_dim=2, povms=povms)) == repr(model)
     assert model == model and not model != model
+    same = ObserverModel(env_dim=2, povms={"z": basis_povm(2)})
+    assert model == same and not model != same
+    assert hash(model) == hash(same)
+    for other in (
+        ObserverModel(2, {"z": basis_povm(2, labels=("u", "d"))}),
+        ObserverModel(2, {"x": basis_povm(2)}),
+        ObserverModel(2, {"z": basis_povm(2), "x": basis_povm(2)}),
+    ):
+        assert model != other and not model == other
     assert model != object()
     for name in ("env_dim", "povms"):
         with pytest.raises(AttributeError):

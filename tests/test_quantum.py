@@ -107,18 +107,32 @@ def test_povm_rejects_mixed_dimensions():
 
 
 def value_cases():
-    """(a value built positionally, the same value built by keyword, its field
-    names, the start of its repr) for each of the four operator classes."""
+    """(a value built positionally, the same value built by keyword from fresh
+    arrays, a different value, its field names, the start of its repr) for
+    each of the four operator classes."""
     amps = np.array([1.0, 0.0])
     half = 0.5 * np.eye(2)
     effects = (Effect(half), Effect(half))
     return [
-        (StateVector(amps), StateVector(amplitudes=amps), ("amplitudes",), "StateVector(amplitudes=array(["),
-        (DensityOperator(half), DensityOperator(matrix=half), ("matrix",), "DensityOperator(matrix=array(["),
-        (Effect(half), Effect(matrix=half), ("matrix",), "Effect(matrix=array(["),
+        (
+            StateVector(amps),
+            StateVector(amplitudes=amps.copy()),
+            StateVector([0.0, 1.0]),
+            ("amplitudes",),
+            "StateVector(amplitudes=array([",
+        ),
+        (
+            DensityOperator(half),
+            DensityOperator(matrix=half.copy()),
+            DensityOperator(np.eye(3) / 3),
+            ("matrix",),
+            "DensityOperator(matrix=array([",
+        ),
+        (Effect(half), Effect(matrix=half.copy()), Effect(np.diag([1.0, 0.0])), ("matrix",), "Effect(matrix=array(["),
         (
             Povm(effects, ("x", "y")),
-            Povm(effects=effects, labels=("x", "y")),
+            Povm(effects=[half.copy(), half.copy()], labels=["x", "y"]),
+            Povm(effects, ("x", "z")),
             ("effects", "labels"),
             "Povm(effects=(Effect(matrix=array([",
         ),
@@ -127,12 +141,15 @@ def value_cases():
 
 @pytest.mark.parametrize("case", value_cases(), ids=lambda case: type(case[0]).__name__)
 def test_value_semantics(case):
-    value, by_keyword, names, start = case
+    value, by_keyword, other, names, start = case
     fields = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
     assert repr(value) == f"{type(value).__name__}({fields})"
     assert repr(value).startswith(start)
     assert repr(by_keyword) == repr(value)
     assert value == value and not value != value
+    assert value == by_keyword and not value != by_keyword
+    assert hash(value) == hash(by_keyword)
+    assert value != other and not value == other
     assert value != object() and value != fields
     for name in names:
         with pytest.raises(AttributeError):
