@@ -8,6 +8,7 @@ run still shows the full scoreboard.
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -265,11 +266,13 @@ def test_criterion_9_cli_determinism(tmp_path):
         ["geiger", "--samples", "64"],
         ["enumerate", str(trace_path), "--max-states", "3"],
     ]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     problems = []
     for argv in commands:
         cmd = [sys.executable, "-m", "moorelimit", *argv]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
+        first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, check=True, env=env)
         if first.stdout != second.stdout:
             problems.append(argv[0])
     ok = not problems

@@ -946,6 +946,8 @@ def test_out_file_honours_umask(tmp_path):
 
 def test_repeated_invocations_byte_identical():
     cmd = [sys.executable, "-m", "moorelimit", "chsh", "--samples", "200"]
-    runs = [subprocess.run(cmd, capture_output=True, check=True) for _ in range(2)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = [subprocess.run(cmd, capture_output=True, check=True, env=env) for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.endswith(b"\n")
