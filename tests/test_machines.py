@@ -333,7 +333,9 @@ def test_minimize_is_minimal_canonical_and_blind_to_numbering():
         # one state per oracle class among the states reachable from the initial one
         reachable = [m.initial]
         for s in reachable:
-            reachable += [t for t in m.transition[s] if t not in reachable]
+            for t in m.transition[s]:
+                if t not in reachable:
+                    reachable.append(t)
         n, _, delta, lam = machine_as_tuple(m)
         classes = []
         for s in reachable:
