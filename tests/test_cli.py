@@ -423,6 +423,27 @@ def test_all_consistent_replay_rejects_a_corrupted_row(capsys):
         assert not cli._row_reproduces(redirected, trace)
 
 
+def test_replay_reads_each_rows_own_inputs_order():
+    """Reversing a row's ``inputs`` describes the machine that reversing its
+    ``delta`` columns does, so both get one verdict; reversing both is the
+    machine the row started as."""
+    golden = os.path.dirname(GOLDEN_TRACE)
+    with open(os.path.join(golden, "trace_ab.json"), encoding="utf-8") as fh:
+        trace = trace_from_dict(json.load(fh))
+    with open(os.path.join(golden, "expected", "enumerate_ab.json"), encoding="utf-8") as fh:
+        rows = json.load(fh)["results"]["machines"]
+    assert len(rows) == 27
+    for row in rows:
+        names = json.loads(json.dumps(row))
+        names["inputs"].reverse()
+        columns = json.loads(json.dumps(row))
+        columns["delta"] = [cells[::-1] for cells in row["delta"]]
+        both = json.loads(json.dumps(columns))
+        both["inputs"].reverse()
+        assert cli._row_reproduces(names, trace) == cli._row_reproduces(columns, trace), row
+        assert cli._row_reproduces(both, trace), row
+
+
 def test_all_consistent_replays_the_rows_as_written(capsys, monkeypatch):
     """The replay reads each row the report renders, so a row corrupted between
     the search and the writing fails the check and the exit code."""

@@ -643,3 +643,27 @@ def test_witness_with_recorded_inputs():
     assert consistent(machine_a, trace)
     assert consistent(machine_b, trace)
     assert not equivalent(machine_a, machine_b)
+
+
+def test_witness_word_is_the_record_inputs_then_the_first_input():
+    """The separating word is the one the product walk finds: the record's inputs
+    reach the only state where the pair differ, and then any input parts them."""
+    rng = random.Random(26)
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        n_out = rng.randint(1, 3)
+        outputs = [rng.randrange(n_out) for _ in range(n)]
+        output_alphabet = None
+        if len(set(outputs)) < 2 or rng.random() < 0.5:
+            output_alphabet = rng.sample(range(n_out + 1), n_out + 1)  # shuffled, one spare symbol
+        n_in = rng.randint(0, 3)
+        inputs = input_alphabet = None  # no inputs: an autonomous record
+        if n_in:
+            symbols = "xyz"[:n_in]
+            inputs = [rng.choice(symbols) for _ in range(n - 1)]
+            if rng.random() < 0.5:
+                input_alphabet = rng.sample(symbols, n_in)
+        trace = Trace(outputs, inputs, output_alphabet, input_alphabet)
+        machine_a, machine_b, separating = witness_moore(trace)
+        assert separating == distinguishing_experiment(machine_a, machine_b), trace
+        assert separating == Experiment((trace.inputs + trace.alphabets[1][:1],)), trace
