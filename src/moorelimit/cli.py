@@ -207,25 +207,14 @@ def cmd_witness(args) -> int:
     return _finish(args, "witness", echo, results, checks, lambda: _experiment_table(results))
 
 
-def _row_reproduces(row: dict, trace: Trace, columns: dict | None = None) -> bool:
+def _row_reproduces(row: dict, trace: Trace) -> bool:
     """True iff the machine document ``row`` emits the trace's outputs on its inputs,
-    replayed on the row's own ``delta`` and ``lambda``.
-
-    ``columns`` caches the ``{symbol: column}`` map of each ``inputs`` list by the
-    list's identity, so rows that share one list build the map once.
-    """
-    inputs = row["inputs"]
-    if columns is None:
-        columns = {}
-    if id(inputs) not in columns:
-        # the entry holds the list, so no other list takes its id while the cache lives
-        columns[id(inputs)] = (inputs, {sym: i for i, sym in enumerate(inputs)})
-    column = columns[id(inputs)][1]
-    delta, lam = row["delta"], row["lambda"]
+    replayed on the row's own ``inputs`` order, ``delta`` and ``lambda``."""
+    inputs, delta, lam = row["inputs"], row["delta"], row["lambda"]
     state = row["initial"]
     emitted = [lam[state]]
     for sym in trace.inputs:
-        state = delta[state][column[sym]]
+        state = delta[state][inputs.index(sym)]
         emitted.append(lam[state])
     return emitted == list(trace.outputs)
 
@@ -249,10 +238,9 @@ def cmd_enumerate(args) -> int:
     def machines():
         """Each row of the report, replayed as it is yielded, so the rows
         checked are the rows written and none outlives its turn."""
-        columns = {}
         replayed = within = True
         for row in encoding_rows(encodings, inputs, outputs):
-            replayed = replayed and _row_reproduces(row, trace, columns)
+            replayed = replayed and _row_reproduces(row, trace)
             within = within and row["states"] <= bound
             yield row
         checks["all_consistent"] = replayed

@@ -396,7 +396,7 @@ def cmd_exchange(args) -> int:
             },
             "max_deviation": worst,
             "indistinguishable": same_statistics,
-            "states_identical": bool(np.array_equal(rho_a.matrix, rho_b.matrix)),
+            "states_identical": rho_a == rho_b,
         }
         checks["statistics_indistinguishable"] = same_statistics
 

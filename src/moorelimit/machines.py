@@ -366,6 +366,11 @@ def witness_moore(trace: Trace) -> tuple[Machine, Machine, Experiment]:
     the chain's last state under every input; the pair therefore agrees on the
     recorded past and provably diverges in some future.  Requires an output
     alphabet of size >= 2.
+
+    ``separating`` is the record's inputs then the first input symbol.  A and B
+    differ only in the last chain state's row, which the recorded inputs alone
+    reach soonest (unrecorded inputs self-loop), and any input then parts them,
+    so this is the least shortest separating word in input-alphabet order.
     """
     outputs, inputs = trace.alphabets
     if len(outputs) < 2:
@@ -390,11 +395,7 @@ def witness_moore(trace: Trace) -> tuple[Machine, Machine, Experiment]:
         initial=0,
     )
     machine_b = minimize(extended)
-
-    separating = distinguishing_experiment(machine_a, machine_b)
-    if separating is None:  # impossible by construction
-        raise AssertionError("witness construction produced equivalent machines")
-    return machine_a, machine_b, separating
+    return machine_a, machine_b, Experiment((trace.inputs + inputs[:1],))
 
 
 def consistent_encodings(trace: Trace, max_states: int) -> list[tuple[int, ...]]:
@@ -405,8 +406,6 @@ def consistent_encodings(trace: Trace, max_states: int) -> list[tuple[int, ...]]
     the transition table flattened in input-alphabet order, and each state's
     output as an index into the output alphabet; the initial state is 0.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be >= 1")
     outputs, inputs = trace.alphabets
     out_index = {sym: i for i, sym in enumerate(outputs)}
     in_index = {sym: i for i, sym in enumerate(inputs)}

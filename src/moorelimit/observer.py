@@ -73,11 +73,8 @@ def lift_povm(povm: Povm, extra_dim: int) -> Povm:
 def outcome_statistics(
     rho: DensityOperator, observer: ObserverModel
 ) -> dict[str, tuple[float, ...]]:
-    """Born distribution of every POVM the observer carries, in its labels' order."""
-    if rho.dim != observer.env_dim:
-        raise DimensionError(
-            f"state dim {rho.dim} != observer environment dim {observer.env_dim}"
-        )
+    """Born distribution of every POVM the observer carries, in its labels' order;
+    :func:`moorelimit.quantum.born_distribution` refuses a state of another dimension."""
     return {name: born_distribution(rho, povm) for name, povm in observer.povms.items()}
 
 

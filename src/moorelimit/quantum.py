@@ -52,6 +52,10 @@ class _ArrayValue(_Value):
     def _key(self) -> tuple:
         return tuple([(a.shape, tuple(a.ravel().tolist())) for a in super()._key()])
 
+    @property
+    def dim(self) -> int:
+        return getattr(self, self._fields[0]).shape[0]
+
 
 class StateVector(_ArrayValue):
     """A unit vector in a finite-dimensional complex Hilbert space."""
@@ -68,10 +72,6 @@ class StateVector(_ArrayValue):
         amps.setflags(write=False)
         self.__dict__["amplitudes"] = amps
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
 
 class DensityOperator(_ArrayValue):
     """Hermitian, positive semidefinite, unit-trace operator."""
@@ -86,10 +86,6 @@ class DensityOperator(_ArrayValue):
         if abs(tr - 1.0) > TAU_NUM:
             raise ValueError(f"density operator trace {tr} deviates from 1")
         self.__dict__["matrix"] = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityOperator":
@@ -106,10 +102,6 @@ class Effect(_ArrayValue):
         if lo < -TAU_NUM or hi > 1.0 + TAU_NUM:
             raise ValueError(f"effect spectrum [{lo}, {hi}] outside [0, 1]")
         self.__dict__["matrix"] = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 class Povm(_Value):
