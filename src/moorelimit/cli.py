@@ -10,7 +10,8 @@ The four machine commands live here, and never load numpy.  Each physics
 command lives in another module of the package, imported only when the
 command is dispatched: ``geiger`` in :mod:`moorelimit.detector`, ``ks`` in
 :mod:`moorelimit.contextuality` and the rest in :mod:`moorelimit.demos`.
-Which of them load numpy is up to those modules.
+They compute in plain Python and load numpy only to draw: ``noclone``
+always, ``chsh`` and ``geiger`` with ``--samples``.
 
 Exit codes: 0 when every flagged invariant holds, 1 when a demonstration
 fails, 2 for parse/config errors, a number too large to use, a failed write
@@ -406,7 +407,7 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too, from a draw
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 

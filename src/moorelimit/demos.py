@@ -1,21 +1,20 @@
-"""The three numpy subcommands and the readers of the documents only they read.
+"""The ``chsh``, ``noclone`` and ``exchange`` subcommands and the readers of
+the documents only they read.
 
-``chsh``, ``noclone`` and ``exchange`` compute with numpy and the ``quantum``,
-``observer`` and ``nogo`` modules; :mod:`moorelimit.cli` imports this module
-when it dispatches one of them.  Each runs with numpy's floating-point
-warnings off, since validation rejects the inf and NaN they would warn of.
-``ks`` lives in :mod:`moorelimit.contextuality` and ``geiger`` in
+They compute with the plain-Python ``quantum``, ``observer`` and ``nogo``
+modules; :mod:`moorelimit.cli` imports this module when it dispatches one of
+them.  numpy loads only to draw: ``noclone``'s random pairs and ``chsh
+--samples``.  ``ks`` lives in :mod:`moorelimit.contextuality` and ``geiger`` in
 :mod:`moorelimit.detector`, which shares its counter model with ``exchange``
 and comes here only to check a config's quantum blocks.  Readers raise
-:class:`~moorelimit.serialize.ParseError` with a field-level message.
+:class:`~moorelimit.serialize.ParseError` with a field-level message; a
+config's errors start with its path, and a POVM file's with that file's path.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-
-import numpy as np
 
 from .cli import _finish, _witness
 from .detector import (
@@ -44,11 +43,14 @@ from .quantum import (
     StateVector,
     basis_state,
     born_distribution,
+    kron,
+    max_entry_difference,
     overlap,
     random_state,
 )
 from .serialize import (
     ParseError,
+    _at,
     _checked,
     _integer,
     _number,
@@ -73,34 +75,36 @@ _CANONICAL_ANGLES = {
 # readers
 
 
-def _floats(values, where: str) -> np.ndarray:
-    """An array of numbers, or an array of such arrays, as a float array."""
+def _floats(values, where: str) -> list:
+    """An array of numbers, or an array of such arrays, as floats in the same nesting."""
     nested = isinstance(values, list) and any(isinstance(v, list) for v in values)
+    rows = []
     for i, row in enumerate(values if nested else [values]):
         at = f"{where}[{i}]" if nested else where
         if not isinstance(row, list):
             raise ParseError(f"{at}: expected an array of numbers, got {type(row).__name__}")
-        for j, v in enumerate(row):
-            _number(v, f"{at}[{j}]")
-    return _checked(where, lambda: np.asarray(values, dtype=float))
+        rows.append([_number(v, f"{at}[{j}]") for j, v in enumerate(row)])
+    return rows if nested else rows[0]
 
 
-def matrix_from_dict(doc: dict, where: str = "operator") -> np.ndarray:
+def matrix_from_dict(doc: dict, where: str = "operator") -> tuple:
+    """A ``dim``-square matrix from row-major ``re`` and ``im`` arrays, as a tuple of rows."""
     dim = _integer(_require(doc, "dim", where), f"{where}.dim")
     re = _floats(_require(doc, "re", where), f"{where}.re")
     im = _floats(_require(doc, "im", where), f"{where}.im")
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ParseError(f"{where}: re/im must be {dim}x{dim} row-major arrays")
-    return re + 1j * im
+    for part in (re, im):
+        if len(part) != dim or not all(isinstance(row, list) and len(row) == dim for row in part):
+            raise ParseError(f"{where}: re/im must be {dim}x{dim} row-major arrays")
+    return tuple(tuple(map(complex, r, i)) for r, i in zip(re, im))
 
 
 def state_from_dict(doc: dict, where: str = "state") -> StateVector:
     dim = _integer(_require(doc, "dim", where), f"{where}.dim")
     re = _floats(_require(doc, "re", where), f"{where}.re")
     im = _floats(_require(doc, "im", where), f"{where}.im")
-    if re.shape != (dim,) or im.shape != (dim,):
+    if len(re) != dim or len(im) != dim or any(isinstance(v, list) for v in re + im):
         raise ParseError(f"{where}: re/im must be flat arrays of length {dim}")
-    return _checked(where, lambda: StateVector(re + 1j * im))
+    return _checked(where, lambda: StateVector(tuple(map(complex, re, im))))
 
 
 def density_from_dict(doc: dict, where: str = "density") -> DensityOperator:
@@ -118,7 +122,8 @@ def povm_from_dict(doc: dict, where: str = "povm") -> Povm:
 
 
 def observer_from_dict(doc: dict, base_dir: Path | None = None, where: str = "observer") -> ObserverModel:
-    """Observer block: environment dimension plus named POVMs, inline or by file."""
+    """Observer block: environment dimension plus named POVMs, inline or by file.
+    A POVM file's errors start with its path."""
     env_dim = _integer(_require(doc, "env_dim", where), f"{where}.env_dim")
     entries = _require(doc, "povms", where)
     if not isinstance(entries, list) or not entries:
@@ -132,7 +137,12 @@ def observer_from_dict(doc: dict, base_dir: Path | None = None, where: str = "ob
         if "file" in entry:
             if not isinstance(entry["file"], str):
                 raise ParseError(f"{at}.file: expected a path string, got {_quoted(entry['file'])}")
-            entry = load_json(base_dir / entry["file"] if base_dir else entry["file"])
+            povm_path = base_dir / entry["file"] if base_dir else entry["file"]
+            try:
+                entry = load_json(povm_path)
+            except OSError as exc:  # a file the config names but that cannot be read
+                raise ParseError(f"{at}.file: {exc}") from None
+            at = f"{povm_path}: povm"
         povms[name] = povm_from_dict(entry, at)
     return _checked(where, lambda: ObserverModel(env_dim=env_dim, povms=povms))
 
@@ -183,8 +193,8 @@ def quantum_blocks_from_dict(doc: dict, path: str | None = None) -> tuple:
     built in) as ``(observer or None, [density_a, density_b] where present)``; POVM
     files resolve against the config's directory."""
     base_dir = Path(path).parent if path else None
-    observer = observer_from_dict(doc["observer"], base_dir) if "observer" in doc else None
-    densities = [density_from_dict(doc[key], key) for key in ("density_a", "density_b") if key in doc]
+    observer = observer_from_dict(doc["observer"], base_dir, _at(path, "observer")) if "observer" in doc else None
+    densities = [density_from_dict(doc[key], _at(path, key)) for key in ("density_a", "density_b") if key in doc]
     return observer, densities
 
 
@@ -192,21 +202,29 @@ def quantum_blocks_from_dict(doc: dict, path: str | None = None) -> tuple:
 # commands
 
 
+def _projectors(angle: float) -> list:
+    """The projectors (I + s A) / 2 onto the outcomes s = 1 and s = -1 of the
+    observable A = ``measurement_axis(angle)``."""
+    axis = measurement_axis(angle)
+    return [
+        tuple(tuple((float(i == j) + s * a) / 2.0 for j, a in enumerate(row)) for i, row in enumerate(axis))
+        for s in (1, -1)
+    ]
+
+
 def _sample_correlator(state: DensityOperator, x: float, y: float, n: int, rng) -> float:
-    eye = np.eye(2)
-    proj_a = [(eye + s * measurement_axis(x)) / 2.0 for s in (1, -1)]
-    proj_b = [(eye + t * measurement_axis(y)) / 2.0 for t in (1, -1)]
+    """The mean product of ``n`` pairs of outcomes drawn by the numpy ``Generator`` ``rng``."""
+    import numpy as np
+
     povm = Povm(
-        effects=tuple(Effect(np.kron(p, q)) for p in proj_a for q in proj_b),
+        effects=tuple(Effect(kron(p, q)) for p in _projectors(x) for q in _projectors(y)),
         labels=("++", "+-", "-+", "--"),
     )
-    probs = np.asarray(born_distribution(state, povm))
-    draws = rng.choice(4, size=n, p=probs)
+    draws = rng.choice(4, size=n, p=born_distribution(state, povm))
     signs = np.array([1.0, -1.0, -1.0, 1.0])
     return float(np.mean(signs[draws]))
 
 
-@np.errstate(all="ignore")
 def cmd_chsh(args) -> int:
     angles = dict(_CANONICAL_ANGLES)
     state, state_echo = singlet(), "singlet"
@@ -235,13 +253,15 @@ def cmd_chsh(args) -> int:
         "within_tsirelson": abs(s_value) <= TSIRELSON + args.tol,
         "lhv_max_is_two": lhv_max == 2,
     }
-    is_singlet = bool(np.max(np.abs(state.matrix - singlet().matrix)) <= 1e-12)
+    is_singlet = max_entry_difference(state.matrix, singlet().matrix) <= 1e-12
     if is_singlet:
         closed = chsh_sum(lambda _, x, y: -math.cos(angles[x] - angles[y]))
         results["closed_form_S"] = closed
         results["closed_form_deviation"] = abs(closed - s_value)
         checks["closed_form_agrees"] = abs(closed - s_value) <= args.tol
     if args.samples:
+        import numpy as np
+
         rng = np.random.default_rng(args.seed)
         estimates = {
             name: _sample_correlator(state, angles[x], angles[y], args.samples, rng)
@@ -267,7 +287,6 @@ def cmd_chsh(args) -> int:
     return _finish(args, "chsh", echo, results, checks, table)
 
 
-@np.errstate(all="ignore")
 def cmd_noclone(args) -> int:
     ket0 = basis_state(2, 0)
     ket1 = basis_state(2, 1)
@@ -276,7 +295,7 @@ def cmd_noclone(args) -> int:
         pairs = [
             ("identical", ket0, ket0),
             ("orthogonal", ket0, ket1),
-            ("overlap_0.6", ket0, StateVector(np.array([0.6, 0.8], dtype=complex))),
+            ("overlap_0.6", ket0, StateVector([0.6, 0.8])),
         ]
     else:
         pairs = state_pairs_from_dict(load_json(args.config), str(args.config))
@@ -287,6 +306,8 @@ def cmd_noclone(args) -> int:
         gap = no_cloning_gap(psi, phi)
         gap_by_name[name] = gap
         pair_rows.append({"name": name, "overlap": abs(overlap(psi, phi)), "gap": gap})
+
+    import numpy as np
 
     rng = np.random.default_rng(args.seed)
     min_gap, max_gap = math.inf, -math.inf  # running, so memory stays flat in --samples
@@ -352,15 +373,14 @@ def _default_exchange_quantum() -> dict:
     }
 
 
-@np.errstate(all="ignore")
 def cmd_exchange(args) -> int:
     default = {**_default_scenario(), **_default_exchange_quantum()}
     doc = load_json(args.config) if args.config else default
     names, sources, detector = counters_from_dict(doc, args.config)
     observer, densities = quantum_blocks_from_dict(doc, args.config)
     if len(sources) != 2:
-        raise ParseError("exchange compares exactly two sources")
-    rows = _source_rows(names, sources, detector)
+        raise ParseError(f"{_at(args.config, 'sources')}: exchange compares exactly two sources, got {len(sources)}")
+    rows = _source_rows(names, sources, detector, args.config)
     records_equal = rows[0]["outcome"] == rows[1]["outcome"]
     configs_identical = sources[0] == sources[1]
 
@@ -381,8 +401,8 @@ def cmd_exchange(args) -> int:
     }
     if observer is not None and len(densities) == 2:
         rho_a, rho_b = densities
-        stats_a = outcome_statistics(rho_a, observer)
-        stats_b = outcome_statistics(rho_b, observer)
+        stats_a = _checked(_at(args.config, "density_a"), lambda: outcome_statistics(rho_a, observer))
+        stats_b = _checked(_at(args.config, "density_b"), lambda: outcome_statistics(rho_b, observer))
         worst = max_deviation(stats_a, stats_b)
         same_statistics = worst <= args.tol
         results["statistics"] = {

@@ -5,10 +5,11 @@ record is the expected rate rounded half-up and clamped at saturation, so two
 distinct sources can leave the same integer.  ``exchange`` builds its source
 rows from the same pieces.
 
-Only ``math`` is needed for the record.  numpy loads when ``geiger --samples``
-draws Poisson counts, and numpy with the quantum readers of
-:mod:`moorelimit.demos` when a config holds an ``observer``, ``density_a`` or
-``density_b`` block, which ``geiger`` checks and does not use.
+Only ``math`` is needed for the record.  numpy loads only when ``geiger
+--samples`` draws Poisson counts.  A config that holds an ``observer``,
+``density_a`` or ``density_b`` block, which ``geiger`` checks and does not use,
+loads the plain-Python quantum readers of :mod:`moorelimit.demos`.  A config's
+errors start with its path.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 from .cli import _finish
 from .machines import _Value
-from .serialize import ParseError, _checked, _integer, _number, _object, _require, load_json
+from .serialize import ParseError, _at, _checked, _integer, _number, _object, _require, load_json
 
 #: config blocks only ``exchange`` uses; ``geiger`` checks them after the counter blocks
 QUANTUM_BLOCKS = ("observer", "density_a", "density_b")
@@ -128,10 +129,10 @@ def counters_from_dict(doc: dict, path: str | None = None) -> tuple:
     if built in) as ``(names, sources, detector)``."""
     src_block = _object(doc, str(path)).get("sources")
     if not isinstance(src_block, dict) or not src_block:
-        raise ParseError("scenario: expected a nonempty 'sources' object")
+        raise ParseError(f"{path or 'scenario'}: expected a nonempty 'sources' object")
     names = list(src_block)
-    sources = [source_from_dict(src_block[name], f"sources.{name}") for name in names]
-    detector = detector_from_dict(doc.get("detector", {}), "detector")
+    sources = [source_from_dict(src_block[name], _at(path, f"sources.{name}")) for name in names]
+    detector = detector_from_dict(doc.get("detector", {}), _at(path, "detector"))
     return names, sources, detector
 
 
@@ -158,7 +159,9 @@ def _source_table(rows):
     ]
 
 
-def _source_rows(names, sources, detector):
+def _source_rows(names, sources, detector, path):
+    """One row per source; a rate outside the float range is an error of the
+    config read from ``path``."""
     rows = []
     for name, src in zip(names, sources):
         rows.append(
@@ -167,7 +170,7 @@ def _source_rows(names, sources, detector):
                 "activity": src.activity,
                 "distance": src.distance,
                 "yield": src.photon_yield,
-                "expected_rate": expected_count_rate(src, detector),
+                "expected_rate": _checked(_at(path, f"sources.{name}"), lambda: expected_count_rate(src, detector)),
                 "outcome": geiger_outcome(src, detector),
             }
         )
@@ -178,13 +181,10 @@ def cmd_geiger(args) -> int:
     doc = load_json(args.config) if args.config else _default_scenario()
     names, sources, detector = counters_from_dict(doc, args.config)
     if any(key in doc for key in QUANTUM_BLOCKS):
-        import numpy as np
-
         from .demos import quantum_blocks_from_dict
 
-        with np.errstate(all="ignore"):  # validation rejects the inf/NaN numpy would warn of
-            quantum_blocks_from_dict(doc, args.config)
-    rows = _source_rows(names, sources, detector)
+        quantum_blocks_from_dict(doc, args.config)
+    rows = _source_rows(names, sources, detector, args.config)
     outcomes = [r["outcome"] for r in rows]
     results = {
         "sources": rows,
@@ -202,7 +202,7 @@ def cmd_geiger(args) -> int:
                 try:
                     counts = sample_geiger_counts(src, detector, args.samples, rng)
                 except ValueError as exc:
-                    raise ParseError(f"sources.{name}: {exc}") from None
+                    raise ParseError(f"{_at(args.config, f'sources.{name}')}: {exc}") from None
                 sampled[name] = {
                     "samples": args.samples,
                     "mean": float(np.mean(counts)),

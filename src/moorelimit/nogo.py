@@ -3,9 +3,10 @@
 CHSH with the singlet against an exhaustive local-deterministic-strategy bound,
 and the no-cloning obstruction in its inner-product-preservation form.  The
 third, contextuality, is the Peres–Mermin square of
-:mod:`moorelimit.contextuality`, which needs no numpy.  The functions take
-validated :mod:`moorelimit.quantum` states and plain float angles; the ``chsh``
-config reader checks that the angles are finite and the state has dimension 4.
+:mod:`moorelimit.contextuality`.  The functions take validated
+:mod:`moorelimit.quantum` states and plain float angles and, like that
+module, compute in plain Python; the ``chsh`` config reader checks that the
+angles are finite and the state has dimension 4.
 """
 
 from __future__ import annotations
@@ -15,32 +16,25 @@ import itertools
 import math
 import operator
 
-import numpy as np
-
-from .quantum import (
-    DensityOperator,
-    PAULI_X,
-    PAULI_Z,
-    StateVector,
-    overlap,
-)
+from .quantum import DensityOperator, StateVector, kron, overlap, trace_product
 
 
 def singlet() -> DensityOperator:
     """The two-qubit singlet (|01> - |10>)/sqrt(2) as a density operator."""
-    psi = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
-    return DensityOperator(np.outer(psi, psi.conj()))
+    h = 1.0 / math.sqrt(2.0)
+    return DensityOperator.from_state(StateVector((0.0, h, -h, 0.0)))
 
 
-def measurement_axis(angle: float) -> np.ndarray:
-    """Spin observable along the x-z plane direction at ``angle`` from z."""
-    return math.sin(angle) * PAULI_X + math.cos(angle) * PAULI_Z
+def measurement_axis(angle: float) -> tuple:
+    """Spin observable sin(angle) X + cos(angle) Z along the x-z plane direction
+    at ``angle`` from z, as a tuple of rows."""
+    c, s = complex(math.cos(angle)), complex(math.sin(angle))
+    return ((c, s), (s, -c))
 
 
 def correlator(state: DensityOperator, x: float, y: float) -> float:
     """E(x, y) = <(n_x . sigma) tensor (n_y . sigma)> in the given state."""
-    observable = np.kron(measurement_axis(x), measurement_axis(y))
-    return float(np.trace(state.matrix @ observable).real)
+    return trace_product(state.matrix, kron(measurement_axis(x), measurement_axis(y)))
 
 
 #: The four CHSH terms: correlator name, Alice's setting, Bob's setting, and

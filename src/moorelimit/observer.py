@@ -3,9 +3,10 @@
 An observer is a named, finite set of POVMs over one environment dimension:
 whatever its POVMs cannot resolve can be exchanged without changing any
 recorded statistics.  The module covers the quantum form of that statement
-(lifting a POVM over extra degrees of freedom it is blind to).  Its bench-top
-caricature, a saturating integer-count radiation detector that reads the same
-number for distinct sources, is :mod:`moorelimit.detector`, which needs no numpy.
+(lifting a POVM over extra degrees of freedom it is blind to), in the plain
+Python of :mod:`moorelimit.quantum`.  Its bench-top caricature, a saturating
+integer-count radiation detector that reads the same number for distinct
+sources, is :mod:`moorelimit.detector`.
 
 An observer's statistics map each POVM name to its Born probabilities in label
 order.  Two such maps are compared by their largest difference; the caller
@@ -17,15 +18,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 from types import MappingProxyType
 
-import numpy as np
-
 from .machines import _Value
 from .quantum import (
     DensityOperator,
     DimensionError,
     Effect,
     Povm,
+    _identity,
     born_distribution,
+    kron,
 )
 
 
@@ -65,8 +66,8 @@ def lift_povm(povm: Povm, extra_dim: int) -> Povm:
     """
     if extra_dim < 1:
         raise DimensionError("extra dimension must be >= 1")
-    eye = np.eye(extra_dim)
-    effects = tuple(Effect(np.kron(e.matrix, eye)) for e in povm.effects)
+    eye = _identity(extra_dim)
+    effects = tuple(Effect(kron(e.matrix, eye)) for e in povm.effects)
     return Povm(effects=effects, labels=povm.labels)
 
 

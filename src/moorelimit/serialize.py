@@ -38,6 +38,12 @@ def _object(doc, where: str) -> dict:
     return doc
 
 
+def _at(path, field: str) -> str:
+    """Where ``field`` of the config read from ``path`` is, for an error message;
+    just ``field`` when the config is built in (``path`` is None)."""
+    return f"{path}: {field}" if path else field
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in _object(doc, where):
         raise ParseError(f"{where}: missing field {key!r}")

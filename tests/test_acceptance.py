@@ -227,8 +227,8 @@ def test_criterion_7_lifting_identity():
         if k % 2 == 0:
             povm = basis_povm(dim_a)
         else:
-            ket = random_state(dim_a, rng)
-            proj = np.outer(ket.amplitudes, ket.amplitudes.conj())
+            ket = np.array(random_state(dim_a, rng).amplitudes)
+            proj = np.outer(ket, ket.conj())
             povm = Povm(
                 effects=(Effect(proj), Effect(np.eye(dim_a) - proj)), labels=("hit", "miss")
             )

@@ -265,16 +265,36 @@ def with_observer(env_dim=2, **povm):
         ("geiger", {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "saturation": 2.7}}, "detector.saturation"),
         ("geiger", {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "aperture_diameter": "inf"}}, "detector: aperture"),
         ("geiger", {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "aperture_diameter": 1e200}}, "aperture"),
-        ("geiger", {"sources": {"s": {"distance": 1.0}}, "detector": DETECTOR}, "error: sources.s: missing field 'activity'"),
+        ("geiger", {"sources": {"s": {"distance": 1.0}}, "detector": DETECTOR}, "c.json: sources.s: missing field 'activity'"),
         ("noclone", {"pairs": [{"name": [1], "psi": KET0, "phi": KET0}]}, "c.json: pairs[0].name: "),
         ("chsh", {"state": {"dim": 4, "re": {"x": 1}, "im": []}}, "c.json: state.re: "),
         ("exchange", with_observer(env_dim="x"), "observer.env_dim: "),
         ("exchange", with_observer(name=["c"]), "observer.povms[0].name: "),
         ("exchange", with_observer(file=7), "observer.povms[0].file: "),
+        ("exchange", with_observer(file="missing.json"), "c.json: observer.povms[0].file: [Errno 2]"),
+        ("geiger", with_observer(file=""), "c.json: observer.povms[0].file: [Errno 21]"),
         ("exchange", {**with_observer(), "observer": {"env_dim": 2, "povms": [{"name": 1, **POVM_Z}, {"name": "1", **POVM_Z}]}}, "observer.povms[1].name: "),
         ("noclone", {"pairs": [{"psi": {**KET0, "re": [float("nan"), 0.0]}, "phi": KET0}]}, "c.json: pairs[0].psi: "),
         ("chsh", {"state": KET0}, "c.json: state: "),
         ("noclone", {"pairs": [{"psi": {"dim": 1, "re": [1.0], "im": [0.0]}, "phi": KET0}]}, "c.json: pairs[0]: "),
+        (
+            "exchange",
+            {**with_observer(), "density_a": {"dim": 2, "re": [[0.5, 1.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}},
+            "c.json: density_a: density operator not Hermitian (deviation 1.0)",
+        ),
+        ("exchange", {"sources": {"s": SOURCE}, "detector": DETECTOR}, "c.json: sources: exchange compares exactly two sources"),
+        ("exchange", {"sources": {"s": SOURCE, "t": SOURCE}}, "c.json: detector: missing field 'aperture_diameter'"),
+        ("geiger", {"sources": {"s": SOURCE}}, "c.json: detector: missing field 'aperture_diameter'"),
+        ("exchange", {"sources": {"s": {**SOURCE, "distance": 1e-300}, "t": SOURCE}, "detector": DETECTOR}, "c.json: sources.s: distance"),
+        (
+            "exchange",
+            {
+                **with_observer(),
+                "density_a": {"dim": 1, "re": [[1.0]], "im": [[0.0]]},
+                "density_b": {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+            },
+            "c.json: density_a: state dim 1 != POVM dim 2",
+        ),
     ],
     ids=[
         "chsh-array", "chsh-angles-number", "chsh-angle-array", "chsh-angle-string",
@@ -283,8 +303,11 @@ def with_observer(env_dim=2, **povm):
         "distance-underflow", "distance-overflow", "activity-inf", "activity-nan", "activity-huge-int",
         "rate-overflow", "saturation-fraction", "aperture-inf", "aperture-overflow",
         "missing-activity", "pair-name-array", "state-re-object", "env-dim-string",
-        "povm-name-array", "povm-file-number", "povm-name-repeated", "amplitude-nan",
+        "povm-name-array", "povm-file-number", "povm-file-missing", "povm-file-directory",
+        "povm-name-repeated", "amplitude-nan",
         "chsh-state-dim-2", "pair-dims-differ",
+        "exchange-density-not-hermitian", "exchange-one-source", "exchange-no-detector",
+        "geiger-no-detector", "exchange-distance-underflow", "exchange-density-dim",
     ],
 )
 def test_malformed_config_exits_2_naming_the_field(capsys, tmp_path, command, doc, field):

@@ -113,7 +113,8 @@ def test_detector_rejection_messages(args, message):
 
 
 # ---------------------------------------------------------------------------
-# geiger checks sources, then the detector, then the observer, then the densities
+# geiger checks sources, then the detector, then the observer, then the densities,
+# and every error starts with the config's path
 
 SOURCE = {"activity": 3.7e6, "distance": 100.0}
 DETECTOR = {"aperture_diameter": 2.0, "efficiency": 0.008}
@@ -124,19 +125,19 @@ BAD_DENSITY = {"dim": 2, "re": 5, "im": ZEROS}
 ORDER_CASES = {
     "observer": (
         {"sources": {"s": SOURCE}, "detector": DETECTOR, "observer": BAD_OBSERVER},
-        "error: observer.env_dim: expected an integer, got 'x'",
+        "error: {config}: observer.env_dim: expected an integer, got 'x'",
     ),
     "source-then-observer": (
         {"sources": {"s": {**SOURCE, "distance": -1.0}}, "detector": DETECTOR, "observer": BAD_OBSERVER},
-        "error: sources.s: distance must be finite and strictly positive, got -1.0",
+        "error: {config}: sources.s: distance must be finite and strictly positive, got -1.0",
     ),
     "detector-then-density": (
         {"sources": {"s": SOURCE}, "detector": {**DETECTOR, "efficiency": 2.0}, "density_a": BAD_DENSITY},
-        "error: detector: efficiency must be in (0, 1]",
+        "error: {config}: detector: efficiency must be in (0, 1]",
     ),
     "observer-then-density": (
         {"sources": {"s": SOURCE}, "detector": DETECTOR, "observer": BAD_OBSERVER, "density_a": BAD_DENSITY},
-        "error: observer.env_dim: expected an integer, got 'x'",
+        "error: {config}: observer.env_dim: expected an integer, got 'x'",
     ),
     # every block is read before any source's expected rate is computed
     "observer-then-rate": (
@@ -145,7 +146,7 @@ ORDER_CASES = {
             "detector": DETECTOR,
             "observer": BAD_OBSERVER,
         },
-        "error: observer.env_dim: expected an integer, got 'x'",
+        "error: {config}: observer.env_dim: expected an integer, got 'x'",
     ),
     # a trace that overflows: numpy would warn of it, and no warning may reach stderr
     "density-overflow": (
@@ -154,7 +155,7 @@ ORDER_CASES = {
             "detector": DETECTOR,
             "density_b": {"dim": 2, "re": [[1e308, 0.0], [0.0, 1e308]], "im": ZEROS},
         },
-        "error: density_b: density operator trace (inf+0j) deviates from 1",
+        "error: {config}: density_b: density operator trace (inf+0j) deviates from 1",
     ),
 }
 
@@ -166,7 +167,7 @@ def test_geiger_names_the_first_malformed_block_in_process(capsys, tmp_path, cas
     config.write_text(json.dumps(doc))
     assert cli.main(["geiger", "--config", str(config)]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", line + "\n")
+    assert (captured.out, captured.err) == ("", line.format(config=config) + "\n")
 
 
 @pytest.mark.parametrize("case", sorted(ORDER_CASES))
@@ -182,7 +183,7 @@ def test_geiger_names_the_first_malformed_block_as_a_program(tmp_path, case):
         text=True,
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line + "\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line.format(config=config) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def test_a_rate_too_large_to_sample_exits_2_naming_the_source_and_rate(capsys, t
     assert cli.main(["geiger", "--config", str(config), "--samples", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    prefix = f"error: sources.hot: --samples: cannot draw Poisson counts at expected rate {rate!r} counts/s: "
+    prefix = f"error: {config}: sources.hot: --samples: cannot draw Poisson counts at expected rate {rate!r} counts/s: "
     assert captured.err.startswith(prefix)
     assert captured.err.count("\n") == 1
 

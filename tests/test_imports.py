@@ -1,6 +1,7 @@
 """Every name a module under ``src/moorelimit/`` imports is used in that module,
-no module imports ``dataclasses`` or ``inspect``, and the machine commands,
-``ks`` and ``geiger`` load no physics module and, for a report, no ``csv``."""
+no module imports ``dataclasses`` or ``inspect``, the machine commands, ``ks``
+and ``geiger`` load no physics module and, for a report, no ``csv``, and the
+physics commands load numpy only to draw."""
 
 import ast
 import functools
@@ -16,7 +17,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moorelimit"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # the modules only chsh, noclone and exchange need, and geiger only when it
-# samples or checks a config's quantum blocks
+# samples (numpy) or checks a config's quantum blocks (the rest)
 PHYSICS = {"numpy", "moorelimit.demos", "moorelimit.nogo", "moorelimit.quantum", "moorelimit.observer"}
 
 # what no module of the package imports: ``dataclasses`` pulls in ``inspect``
@@ -157,17 +158,58 @@ def test_geiger_loads_numpy_to_sample():
     assert "numpy" in imported_modules("-m", "moorelimit", "geiger", "--samples", "1")
 
 
-def test_geiger_loads_numpy_to_check_an_observer_block(tmp_path):
-    config = tmp_path / "observer.json"
-    povm = {"name": "one", "dim": 1, "labels": [0], "effects": [{"dim": 1, "re": [[1.0]], "im": [[0.0]]}]}
-    doc = {
-        "sources": {"s": {"activity": 3.7e6, "distance": 100.0}},
-        "detector": {"aperture_diameter": 2.0, "efficiency": 0.008},
-        "observer": {"env_dim": 1, "povms": [povm]},
-    }
-    config.write_text(json.dumps(doc))
-    loaded = imported_modules("-m", "moorelimit", "geiger", "--config", str(config))
-    assert {"numpy", "moorelimit.demos"} <= loaded
+POVM = {"dim": 2, "labels": [0, 1], "effects": [
+    {"dim": 2, "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    {"dim": 2, "re": [[0.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+]}
+SCENARIO = {
+    "sources": {"s": {"activity": 3.7e6, "distance": 100.0}, "t": {"activity": 1.48e7, "distance": 200.0}},
+    "detector": {"aperture_diameter": 2.0, "efficiency": 0.008},
+    "observer": {"env_dim": 2, "povms": [{"name": "inline", **POVM}, {"name": "filed", "file": "povm.json"}]},
+    "density_a": {"dim": 2, "re": [[0.75, 0.0], [0.0, 0.25]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+    "density_b": {"dim": 2, "re": [[0.75, 0.2], [0.2, 0.25]], "im": [[0.0, 0.1], [-0.1, 0.0]]},
+}
+CHSH_CONFIG = {
+    "angles": {"a": 0.0, "a_prime": 1.5, "b": 0.7, "b_prime": 2.3},
+    "state": {"dim": 4, "re": [0.0, 0.6, -0.8, 0.0], "im": [0.0, 0.0, 0.0, 0.0]},
+}
+
+
+def write_configs(directory: Path) -> None:
+    for name, doc in (("povm.json", POVM), ("s.json", SCENARIO), ("c.json", CHSH_CONFIG)):
+        (directory / name).write_text(json.dumps(doc))
+
+
+def test_geiger_checks_an_observer_block_without_numpy(tmp_path):
+    write_configs(tmp_path)
+    loaded = imported_modules("-m", "moorelimit", "geiger", "--config", str(tmp_path / "s.json"))
+    assert "moorelimit.demos" in loaded
+    assert "numpy" not in loaded
+
+
+PLAIN_PHYSICS_COMMANDS = [
+    ["chsh"],
+    ["chsh", "--format", "table"],
+    ["chsh", "--samples", "0"],
+    ["chsh", "--config", "c.json"],
+    ["exchange"],
+    ["exchange", "--format", "table"],
+    ["exchange", "--config", "s.json"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_PHYSICS_COMMANDS, ids=" ".join)
+def test_chsh_and_exchange_load_no_numpy(tmp_path, argv):
+    write_configs(tmp_path)
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    loaded = imported_modules("-m", "moorelimit", *argv)
+    assert "moorelimit.demos" in loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["noclone"], ["chsh", "--samples", "1"]], ids=" ".join)
+def test_drawing_loads_numpy(argv):
+    assert "numpy" in imported_modules("-m", "moorelimit", *argv)
 
 
 def test_counter_names_resolve_on_cli_without_numpy():
@@ -184,7 +226,7 @@ def test_kochen_specker_check_resolves_on_cli_without_numpy():
 
 
 def test_physics_command_loads_the_physics_modules():
-    assert PHYSICS <= imported_modules("-m", "moorelimit", "chsh")
+    assert PHYSICS - {"numpy"} <= imported_modules("-m", "moorelimit", "chsh")
 
 
 def test_importing_cli_loads_no_numpy():

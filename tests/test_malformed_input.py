@@ -3,8 +3,8 @@
 Each case starts from a valid document of one input format, puts a value of
 some JSON kind at one path of it, and runs ``cli.main`` in process.  No
 exception may escape; exit 2 prints exactly one ``error:`` line, which names
-the mutated file for a trace or a machine; exit 0 or 1 prints strict JSON (no
-``NaN`` or ``Infinity`` tokens); no warning is raised.
+the mutated file; exit 0 or 1 prints strict JSON (no ``NaN`` or ``Infinity``
+tokens); no warning is raised.
 """
 
 import contextlib
@@ -96,8 +96,8 @@ FORMATS = {
     ),
 }
 
-# formats whose every rejection names the mutated file
-NAMED_IN_ERRORS = {"trace", "machine"}
+# formats whose every rejection names the mutated file: all of them
+NAMED_IN_ERRORS = set(FORMATS)
 
 KINDS = st.one_of(
     st.none(),
@@ -166,9 +166,82 @@ def test_malformed_input_keeps_the_exit_code_contract(fmt, data):
         json.loads(out, parse_constant=reject_constant)
 
 
+def vector(re, im=None):
+    return {"dim": len(re), "re": re, "im": im or [0.0] * len(re)}
+
+
+def matrix(re, im=None):
+    return {"dim": len(re), "re": re, "im": im or [[0.0] * len(re) for _ in re]}
+
+
+KET = vector([1.0, 0.0])
+HUGE = [[1e308, 1e308], [1e308, 1e308]]
+INLINE = {**SCENARIO, "observer": {"env_dim": 2, "povms": [{"name": "z", **POVM}]}}
+
+# numbers plain-Python arithmetic must not let through: non-finite entries,
+# entries whose products overflow, a zero vector and a dimension above 64
+# (argv, config, field the error names)
+NUMERIC_CASES = {
+    "nan-amplitude": (
+        ["noclone", "--samples", "1"], {"pairs": [{"psi": vector([math.nan, 0.0]), "phi": KET}]}, "pairs[0].psi",
+    ),
+    "infinite-amplitude": (["chsh"], {"state": vector([0.0, 0.0, 0.0, math.inf])}, "state"),
+    "nan-density-entry": (["exchange"], {**INLINE, "density_a": matrix([[math.nan, 0.0], [0.0, 1.0]])}, "density_a"),
+    "infinite-density-entry": (
+        ["exchange"], {**INLINE, "density_b": matrix([[1.0, 0.0], [0.0, 0.0]], [[0.0, math.inf], [-math.inf, 0.0]])},
+        "density_b",
+    ),
+    "infinite-effect-entry": (
+        ["geiger"],
+        {**INLINE, "observer": {"env_dim": 2, "povms": [{"name": "z", **POVM, "effects": [
+            matrix([[math.inf, 0.0], [0.0, 0.0]]), matrix([[0.0, 0.0], [0.0, 1.0]])]}]}},
+        "observer.povms[0]",
+    ),
+    "overflowing-norm": (
+        ["noclone", "--samples", "1"], {"pairs": [{"psi": vector([1e308, 1e308]), "phi": KET}]}, "pairs[0].psi",
+    ),
+    "overflowing-density": (["exchange"], {**INLINE, "density_a": matrix(HUGE)}, "density_a"),
+    "overflowing-complex-density": (["chsh"], {"state": matrix(
+        [[1e308, 0.0, 0.0, 1e308], [0.0] * 4, [0.0] * 4, [1e308, 0.0, 0.0, 1e308]],
+        [[0.0, 0.0, 0.0, 1e308], [0.0] * 4, [0.0] * 4, [-1e308, 0.0, 0.0, 0.0]])}, "state"),
+    "overflowing-effect": (
+        ["exchange"],
+        {**INLINE, "observer": {"env_dim": 2, "povms": [{"name": "z", **POVM, "effects": [matrix(HUGE)]}]}},
+        "observer.povms[0]",
+    ),
+    "zero-vector": (["noclone", "--samples", "1"], {"pairs": [{"psi": vector([0.0, 0.0]), "phi": KET}]}, "pairs[0].psi"),
+    "zero-chsh-state": (["chsh"], {"state": vector([0.0] * 4)}, "state"),
+    "dim-65-state": (
+        ["noclone", "--samples", "1"], {"pairs": [{"psi": vector([1.0] + [0.0] * 64), "phi": vector([1.0] + [0.0] * 64)}]},
+        "pairs[0].psi",
+    ),
+    "dim-65-density": (
+        ["exchange"], {**INLINE, "density_a": matrix([[float(i == j == 0) for j in range(65)] for i in range(65)])},
+        "density_a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_CASES))
+def test_numbers_outside_plain_arithmetic_exit_2_naming_the_field(case, tmp_path):
+    argv, doc, field = NUMERIC_CASES[case]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))  # NaN and Infinity become JSON's non-standard tokens
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([*argv, "--config", str(config)])
+    err = err.getvalue()
+    assert (code, out.getvalue(), caught) == (2, "", [])
+    assert err.startswith(f"error: {config}: {field}") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("fmt", sorted(NAMED_IN_ERRORS))
 def test_undecodable_file_is_named_in_its_error(fmt, tmp_path):
     argv, files, target = FORMATS[fmt]
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     (tmp_path / target).write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark, not UTF-8
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     out, err = io.StringIO(), io.StringIO()

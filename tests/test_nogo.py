@@ -44,7 +44,7 @@ def test_measurement_axis_endpoints():
 
 def test_measurement_axis_is_involution():
     for angle in np.linspace(0.0, 2.0 * math.pi, 17):
-        a = measurement_axis(angle)
+        a = np.array(measurement_axis(angle))
         assert np.allclose(a @ a, np.eye(2), atol=1e-12)
         assert np.allclose(a, a.conj().T)
 

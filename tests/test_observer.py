@@ -39,7 +39,7 @@ def test_lift_povm_adds_blind_factor():
     lifted = lift_povm(basis_povm(2), 3)
     assert lifted.dim == 6
     assert lifted.labels == (0, 1)
-    total = sum(e.matrix for e in lifted.effects)
+    total = sum(np.array(e.matrix) for e in lifted.effects)
     assert np.allclose(total, np.eye(6))
 
 
@@ -86,7 +86,7 @@ def test_observer_value_semantics():
     povms = {"z": basis_povm(2)}
     model = ObserverModel(2, povms)
     assert repr(model) == f"ObserverModel(env_dim=2, povms={model.povms!r})"
-    assert repr(model).startswith("ObserverModel(env_dim=2, povms=mappingproxy({'z': Povm(effects=(Effect(matrix=array([")
+    assert repr(model).startswith("ObserverModel(env_dim=2, povms=mappingproxy({'z': Povm(effects=(Effect(matrix=(((1+0j), 0j), (0j, 0j))), ")
     assert repr(ObserverModel(env_dim=2, povms=povms)) == repr(model)
     assert model == model and not model != model
     same = ObserverModel(env_dim=2, povms={"z": basis_povm(2)})

@@ -5,6 +5,7 @@ from moorelimit.quantum import (
     DensityOperator,
     DimensionError,
     Effect,
+    MAX_DIM,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -17,7 +18,9 @@ from moorelimit.quantum import (
     random_density,
     random_state,
     tensor,
+    trace_product,
 )
+from moorelimit.quantum import _hermitian_spectrum, _norm
 
 
 def plus_state():
@@ -40,7 +43,7 @@ def test_state_vector_accepts_norm_within_tolerance():
 
 def test_state_vector_is_read_only():
     psi = basis_state(2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         psi.amplitudes[0] = 0.0
 
 
@@ -61,8 +64,9 @@ def test_density_rejects_wrong_trace():
 
 def test_density_from_state_is_projector():
     rho = DensityOperator.from_state(plus_state())
-    assert np.allclose(rho.matrix, rho.matrix @ rho.matrix)
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+    matrix = np.array(rho.matrix)
+    assert np.allclose(matrix, matrix @ matrix)
+    assert abs(np.trace(matrix) - 1.0) < 1e-12
 
 
 def test_effect_rejects_spectrum_above_one():
@@ -103,7 +107,7 @@ def test_povm_rejects_mixed_dimensions():
 
 
 # ---------------------------------------------------------------------------
-# value semantics: repr over the fields, read-only arrays, no assignment
+# value semantics: repr over the fields, fields stored as tuples, no assignment
 
 
 def value_cases():
@@ -119,22 +123,22 @@ def value_cases():
             StateVector(amplitudes=amps.copy()),
             StateVector([0.0, 1.0]),
             ("amplitudes",),
-            "StateVector(amplitudes=array([",
+            "StateVector(amplitudes=((1+0j), 0j))",
         ),
         (
             DensityOperator(half),
             DensityOperator(matrix=half.copy()),
             DensityOperator(np.eye(3) / 3),
             ("matrix",),
-            "DensityOperator(matrix=array([",
+            "DensityOperator(matrix=(((0.5+0j), 0j), (0j, (0.5+0j))))",
         ),
-        (Effect(half), Effect(matrix=half.copy()), Effect(np.diag([1.0, 0.0])), ("matrix",), "Effect(matrix=array(["),
+        (Effect(half), Effect(matrix=half.copy()), Effect(np.diag([1.0, 0.0])), ("matrix",), "Effect(matrix=(((0.5+0j), 0j), (0j, (0.5+0j))))"),
         (
             Povm(effects, ("x", "y")),
             Povm(effects=[half.copy(), half.copy()], labels=["x", "y"]),
             Povm(effects, ("x", "z")),
             ("effects", "labels"),
-            "Povm(effects=(Effect(matrix=array([",
+            "Povm(effects=(Effect(matrix=(((0.5+0j), 0j), (0j, (0.5+0j)))), Effect(",
         ),
     ]
 
@@ -161,21 +165,27 @@ def test_value_semantics(case):
     assert repr(value) == repr(by_keyword)
 
 
-def test_stored_arrays_are_read_only_copies():
+def test_stored_as_tuples_of_complex():
     amps = np.array([1.0, 0.0])
     half = 0.5 * np.eye(2)
     psi, rho, effect = StateVector(amps), DensityOperator(half), Effect(half)
     povm = Povm([half, half], [0, 1])
-    stored = [psi.amplitudes, rho.matrix, effect.matrix, *(e.matrix for e in povm.effects)]
+    stored = [rho.matrix, effect.matrix, *(e.matrix for e in povm.effects)]
     amps[:] = (0.0, 1.0)
     half[0, 0] = 0.0
-    for array in stored:
-        assert array.dtype == complex and not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-    assert psi.amplitudes.tolist() == [1.0, 0.0]
-    for array in stored[1:]:
-        assert array.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    assert type(psi.amplitudes) is tuple and all(type(z) is complex for z in psi.amplitudes)
+    with pytest.raises(TypeError):
+        psi.amplitudes[0] = 1.0
+    for matrix in stored:
+        assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+        assert all(type(z) is complex for row in matrix for z in row)
+        with pytest.raises(TypeError):
+            matrix[0] = (1.0, 0.0)
+        with pytest.raises(TypeError):
+            matrix[0][0] = 1.0
+    assert psi.amplitudes == (1.0, 0.0)
+    for matrix in stored:
+        assert matrix == ((0.5, 0.0), (0.0, 0.5))
     assert type(povm.effects) is tuple and all(type(e) is Effect for e in povm.effects)
     assert povm.labels == (0, 1) and type(povm.labels) is tuple
 
@@ -220,8 +230,8 @@ def test_born_valid_over_random_states_and_povms():
         if k % 2:
             povm = basis_povm(dim)
         else:
-            psi = random_state(dim, rng)
-            p = np.outer(psi.amplitudes, psi.amplitudes.conj())
+            psi = np.array(random_state(dim, rng).amplitudes)
+            p = np.outer(psi, psi.conj())
             povm = Povm(effects=(Effect(p), Effect(np.eye(dim) - p)), labels=("hit", "miss"))
         probs = born_distribution(rho, povm)
         assert len(probs) == len(povm.labels)
@@ -246,11 +256,12 @@ def test_tensor_preserves_wrapper_types():
     assert isinstance(joint, DensityOperator)
     assert joint.dim == 6
     raw = tensor(PAULI_X, PAULI_Z)
-    assert isinstance(raw, np.ndarray)
+    assert type(raw) is tuple and len(raw) == 4 and all(type(row) is tuple and len(row) == 4 for row in raw)
+    assert np.array_equal(raw, np.kron(PAULI_X, PAULI_Z))
 
 
 def test_paulis_square_to_identity():
-    for p in (PAULI_X, PAULI_Y, PAULI_Z):
+    for p in map(np.array, (PAULI_X, PAULI_Y, PAULI_Z)):
         assert np.allclose(p @ p, np.eye(2))
         assert np.allclose(p, p.conj().T)
 
@@ -293,7 +304,60 @@ def test_random_density_is_valid_and_full_rank():
         assert np.trace(rho.matrix).real == pytest.approx(1.0)
 
 
+# ---------------------------------------------------------------------------
+# plain-Python arithmetic against numpy's, the reference
+
+
+def hermitian_cases(rng):
+    """Random Hermitian matrices of dimension 1-8 and 16 at scales from 1e-200 to
+    1e200, every third one with a degenerate spectrum of -1, 0 and 2."""
+    for dim in [*range(1, 9), 16]:
+        for k in range(12):
+            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            if k % 3 == 0:
+                u, _ = np.linalg.qr(g)
+                h = u @ np.diag(rng.choice([-1.0, 0.0, 2.0], size=dim)) @ u.conj().T
+                yield (h + h.conj().T) / 2
+            else:
+                yield (g + g.conj().T) * [1e-200, 1e-5, 1.0, 1e5, 1e200][k % 5]
+
+
+def test_extreme_eigenvalues_match_numpy():
+    for h in hermitian_cases(np.random.default_rng(5)):
+        vals = np.linalg.eigvalsh(h)
+        _, lo, hi = _hermitian_spectrum(h, "operator")
+        scale = np.abs(vals).max()
+        assert abs(lo - vals[0]) <= 1e-13 * scale and abs(hi - vals[-1]) <= 1e-13 * scale
+
+
+def test_plain_sums_match_numpy():
+    rng = np.random.default_rng(6)
+    for dim in (1, 2, 3, 4, 7):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        b = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        assert trace_product(a.tolist(), b.tolist()) == pytest.approx(np.trace(a @ b).real, rel=1e-12, abs=1e-12)
+        psi, phi = random_state(dim, rng), random_state(dim, rng)
+        assert overlap(psi, phi) == pytest.approx(np.vdot(psi.amplitudes, phi.amplitudes), rel=1e-12, abs=1e-15)
+        assert _norm(a[0]) == pytest.approx(np.linalg.norm(a[0]), rel=1e-15)
+
+
+def test_dimension_bound():
+    assert StateVector([1.0] + [0.0] * (MAX_DIM - 1)).dim == MAX_DIM
+    with pytest.raises(DimensionError, match=f"dimension {MAX_DIM + 1}, above the bound {MAX_DIM}"):
+        StateVector([1.0] + [0.0] * MAX_DIM)
+    with pytest.raises(DimensionError, match="above the bound"):
+        Effect(np.zeros((MAX_DIM + 1, MAX_DIM + 1)))
+
+
+def test_non_finite_entries_are_rejected():
+    for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            StateVector([value, 1.0])
+        with pytest.raises(ValueError, match="non-finite entry"):
+            DensityOperator([[1.0, value], [value, 0.0]])
+
+
 def test_random_generation_is_seed_deterministic():
     a = random_density(3, np.random.default_rng(99))
     b = random_density(3, np.random.default_rng(99))
-    assert np.array_equal(a.matrix, b.matrix)
+    assert a.matrix == b.matrix
