@@ -42,6 +42,7 @@ from .machines import (
     witness_moore,
 )
 from .serialize import (
+    MachineRows,
     dumps_report,  # unused here; perfbench/tracing.py and tests/test_benchmark_contract.py use it by name
     encoding_rows,
     load_json,
@@ -250,7 +251,7 @@ def cmd_enumerate(args) -> int:
     results = {
         "counts": [{"max_states": n, "count": c} for n, c in enumerate(tally, 1)],
         "count": tally[-1],
-        "machines": machines(),  # rendered before checks, which it completes
+        "machines": MachineRows(machines()),  # rendered before checks, which it completes
     }
 
     def table():

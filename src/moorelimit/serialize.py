@@ -8,11 +8,12 @@ document uses, here and in :mod:`moorelimit.demos`, which reads the physics
 commands' documents.  Parsing raises :class:`ParseError` with a field-level
 message.  :func:`write_report` renders a report to its destination in chunks
 of bounded size, so the whole text is never held in memory, and renders a
-generator as the array of what it yields, consuming it as it goes; so a
-report whose rows come from :func:`encoding_rows` never holds them all.
-:func:`dumps_report` joins those chunks into one string.  :func:`write_atomic`
-streams into a temp file and renames it over the target only when the
-writing has finished.
+generator as the array of what it yields, consuming it as it goes.  It
+renders :func:`encoding_rows`'s rows wrapped in a :class:`MachineRows` the
+same way, each row's text joined from cached texts of its parts, so a report
+never holds all its rows.  :func:`dumps_report` joins the chunks into one
+string.  :func:`write_atomic` streams into a temp file and renames it over
+the target only when the writing has finished.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import defaultdict
 from collections.abc import Iterator
 from pathlib import Path
 from types import GeneratorType
@@ -118,11 +118,11 @@ def encoding_rows(encodings, inputs: tuple, outputs: tuple) -> Iterator[dict]:
 
     Equal parts are one object: every row holds the same ``inputs`` and
     ``outputs`` lists, and rows share one list per distinct transition row and
-    one ``lambda`` per distinct output tuple.  The generator holds those lists
-    for as long as it runs, which is what lets :func:`write_report` look them
-    up by identity.  The completions of one table are adjacent in the sorted
-    encodings, so they share one ``delta`` and only the current one is kept.
-    The rows are for reading and rendering, not for mutation.
+    one ``lambda`` per distinct output tuple, which is what lets
+    :meth:`MachineRows.texts` build each part's text once.  The completions
+    of one table are adjacent in the sorted encodings, so they share one
+    ``delta`` and only the current one is kept.  The rows are for reading
+    and rendering, not for mutation.
     """
     k = len(inputs)
     inputs, outputs = list(inputs), list(outputs)
@@ -202,7 +202,7 @@ def load_json(path) -> object:
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid UTF-8 ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or int() refusing a literal of too many digits
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError:
         raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None
@@ -212,28 +212,84 @@ _encode_str = json.encoder.encode_basestring  # the string spelling of ensure_as
 _CONTAINERS = (dict, list, tuple, GeneratorType)
 
 
-def _scalar_text(value) -> str | None:
-    """JSON text of a string, number, bool or None, spelled as :mod:`json` spells
-    it; None for any other value."""
+def _scalar(value) -> str:
+    """JSON text of a string, number, bool or None, spelled as :mod:`json`
+    spells it; the TypeError :mod:`json` raises for any other value."""
     if isinstance(value, str):
         return _encode_str(value)
     if value is None or value is True or value is False or isinstance(value, float):
         return json.dumps(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    return None
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _key_text(key) -> str:
     """A dict key as :mod:`json` writes it: a scalar's text, quoted as a string."""
-    text = key if isinstance(key, str) else _scalar_text(key)
-    if text is None:
+    if not (key is None or isinstance(key, (str, int, float))):  # a bool is an int
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return _encode_str(text)
+    return _encode_str(key if isinstance(key, str) else _scalar(key))
 
 
-#: How many pending parts :func:`write_report` may hold before it passes them on.
-CHUNK_PARTS = 4096
+def _array_text(items, pad: str, text=_scalar) -> str:
+    """The array of ``text`` of each of ``items`` (or of the items, if None) at ``pad``."""
+    inner = "\n" + pad + "  "
+    return f"[{inner}{(',' + inner).join(items if text is None else map(text, items))}\n{pad}]" if items else "[]"
+
+
+class MachineRows:
+    """Documents in :func:`_machine_row`'s layout, such as :func:`encoding_rows`
+    yields.  :func:`write_report` renders them as the array of their
+    :meth:`texts`; iterating them iterates the rows and builds no text."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def texts(self, pad: str) -> Iterator[str]:
+        """Each row's text at indentation ``pad``, as :mod:`json` spells it, joined
+        from cached texts of the row's own fields: the head (``states`` to
+        ``initial``), built again when a value is not the last row's object (once
+        per state count for :func:`encoding_rows`); the ``delta`` once per list,
+        so once per table; each transition row and ``lambda`` once per list, held
+        till the rows run out so no other object takes its id.  No list may change."""
+        inner = pad + "  "
+        field = ",\n" + inner
+        cells: dict[int, str] = {}  # id of a transition row -> its text
+        tails: dict[int, str] = {}  # id of a lambda -> the row's text from "lambda" on
+        held: list = []  # every list in cells and tails
+        states = inputs = outputs = initial = delta = unset = object()  # no row's value
+        for row in self.rows:
+            if not (row["states"] is states and row["inputs"] is inputs
+                    and row["outputs"] is outputs and row["initial"] is initial):
+                states, inputs, outputs, initial = row["states"], row["inputs"], row["outputs"], row["initial"]
+                head = (
+                    f'{{\n{inner}"states": {_scalar(states)}{field}"inputs": {_array_text(inputs, inner)}'
+                    f'{field}"outputs": {_array_text(outputs, inner)}{field}"initial": {_scalar(initial)}{field}"delta": '
+                )
+                delta = unset
+            if row["delta"] is not delta:
+                delta = row["delta"]
+                texts = []
+                for cell in delta:
+                    text = cells.get(id(cell))
+                    if text is None:
+                        text = cells[id(cell)] = _array_text(cell, inner + "  ")
+                        held.append(cell)
+                    texts.append(text)
+                prefix = head + _array_text(texts, inner, None)
+            lam = row["lambda"]
+            tail = tails.get(id(lam))
+            if tail is None:
+                tail = tails[id(lam)] = f'{field}"lambda": {_array_text(lam, inner)}\n{pad}}}'
+                held.append(lam)
+            yield prefix + tail
+
+
+#: How many characters of text :func:`write_report` may hold before it passes them on.
+CHUNK_CHARS = 64 * 1024
 
 
 def write_report(doc: object, write) -> None:
@@ -247,65 +303,38 @@ def write_report(doc: object, write) -> None:
     not a JSON value and ends in a RecursionError.  A generator, which
     ``json`` refuses, renders as the array of what it yields, so the text is
     the one ``json`` gives with the generator replaced by that list; it is
-    consumed once, as it is rendered.  A refused value ends the call after
+    consumed once, as it is rendered.  A :class:`MachineRows` renders as the
+    array of its rows the same way, each row as the text its
+    :meth:`~MachineRows.texts` builds.  A refused value ends the call after
     the chunks before it have been written.
 
-    The text is built as a list of parts.  After each item of a generator or
-    of a list that holds containers (a report's ``machines``, say), parts past
-    :data:`CHUNK_PARTS` are joined and passed to ``write``, so neither the
-    whole text nor the list of all its parts ever exists.  The strings that
-    depend only on the indentation (the separator, the openings and
-    closings) are spelled once per indentation.  A list or tuple whose items
-    are all scalars is rendered once per indentation, kept alive until the
-    call returns and looked up by identity after that, so no other object
-    can take its identity meanwhile, not even one a generator builds after
-    an earlier item has been freed.  That pays off on the shared ``inputs``,
-    ``outputs``, transition rows and ``lambda`` lists of
-    :func:`encoding_rows`.  Lists that hold containers, such as a ``delta``
-    or ``machines``, are rendered each time they are reached, so the memo
-    stays small.  The text of each string key is cached too.
+    The text is built as a list of parts, joined and passed to ``write`` as
+    soon as they hold more than :data:`CHUNK_CHARS` characters, so neither
+    the whole text nor the list of all its parts ever exists.  The text of
+    each string key is cached.
     """
-    memo: defaultdict[str, dict[int, str]] = defaultdict(dict)  # pad -> id of a list -> its text
-    held: list = []  # every list in memo, so its id stays its own
-    layouts: dict[str, tuple] = {}  # pad -> what render spells at that indentation
     keys: dict[str, str] = {}
     out: list[str] = []
-    emit = out.append
+    size = 0  # characters in out
 
-    def scalar(value) -> str:
-        kind = type(value)
-        if kind is str:
-            return _encode_str(value)
-        if kind is int:
-            return int.__repr__(value)
-        text = _scalar_text(value)
-        if text is None:
-            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-        return text
+    def emit(text: str) -> None:
+        nonlocal size
+        out.append(text)
+        size += len(text)
+        if size > CHUNK_CHARS:
+            write("".join(out))
+            out.clear()
+            size = 0
 
     def render(value, pad: str) -> None:
-        if not isinstance(value, _CONTAINERS):
-            emit(scalar(value))
+        rows = type(value) is MachineRows
+        if not (rows or isinstance(value, _CONTAINERS)):
+            emit(_scalar(value))
             return
-        if not value:
-            emit("{}" if isinstance(value, dict) else "[]")
-            return
-        layout = layouts.get(pad)
-        if layout is None:
-            inner = pad + "  "
-            layout = layouts[pad] = (
-                inner,
-                ",\n" + inner,
-                memo[inner],  # most lists of a report are already rendered when reached
-                memo[pad],
-                "{\n" + inner,
-                "\n" + pad + "}",
-                "[\n" + inner,
-                "\n" + pad + "]",
-            )
-        inner, sep, known, mine, open_dict, close_dict, open_list, close_list = layout
+        inner = pad + "  "
+        sep = ",\n" + inner
         if isinstance(value, dict):
-            lead = open_dict
+            lead = "{\n" + inner
             for k, v in value.items():
                 name = keys.get(k)  # only str keys are stored, so 1, True and 1.0 never match
                 if name is None:
@@ -314,32 +343,18 @@ def write_report(doc: object, write) -> None:
                         keys[k] = name
                 emit(lead)
                 emit(name)
-                text = known.get(id(v))
-                if text is None:
-                    render(v, inner)
-                else:
-                    emit(text)
+                render(v, inner)
                 lead = sep
-            emit(close_dict)
-        elif type(value) is GeneratorType or any(isinstance(v, _CONTAINERS) for v in value):
-            lead = open_list
-            for v in value:
+            emit("\n" + pad + "}" if value else "{}")
+        elif rows or type(value) is GeneratorType or any(isinstance(v, _CONTAINERS) for v in value):
+            lead = "[\n" + inner
+            for v in value.texts(inner) if rows else value:
                 emit(lead)
-                text = known.get(id(v))
-                if text is None:
-                    render(v, inner)
-                else:
-                    emit(text)
+                emit(v) if rows else render(v, inner)
                 lead = sep
-                if len(out) > CHUNK_PARTS:
-                    write("".join(out))
-                    out.clear()
-            emit("[]" if lead is open_list else close_list)  # only a generator can yield nothing
+            emit("\n" + pad + "]" if lead is sep else "[]")  # only a generator or rows can be empty here
         else:
-            text = f"{open_list}{sep.join([scalar(v) for v in value])}{close_list}"
-            mine[id(value)] = text
-            held.append(value)
-            emit(text)
+            emit(_array_text(value, pad))
 
     try:
         render(doc, "")
@@ -348,7 +363,6 @@ def write_report(doc: object, write) -> None:
     finally:
         # render refers to itself, so this frame outlives the call until the cycle collector runs
         out.clear()
-        held.clear()
 
 
 def dumps_report(doc: object) -> str:

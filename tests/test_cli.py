@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from moorelimit import cli
+from moorelimit import cli, serialize
 from moorelimit.machines import Machine, Trace, consistent_encodings, enumerate_consistent
 from moorelimit.serialize import machine_to_dict, trace_from_dict
 
@@ -430,6 +430,32 @@ def test_enumerate_rows_equal_the_documents_of_enumerated_machines(capsys, tmp_p
         assert report["results"]["machines"] == [machine_to_dict(m) for m in machines], doc
 
 
+# alphabets whose symbols json must escape or spell at length
+ESCAPED_OUTPUTS = [('"', "\\"), ("\n", " "), ("ö", "✓ \u2028"), (-1, 10**30), ('a"b', -7, "\x00")]
+ESCAPED_INPUTS = [("\\", " "), ("ä", "\t"), (-5, 2**70), ('"',)]
+
+
+def test_enumerate_report_bytes_equal_json_dumps_of_the_enumerated_machines(capsys, tmp_path):
+    rng = random.Random(1956)
+    for _ in range(30):
+        outputs, inputs = rng.choice(ESCAPED_OUTPUTS), rng.choice(ESCAPED_INPUTS)
+        steps = [{"output": rng.choice(outputs)}]
+        steps += [{"output": rng.choice(outputs), "input": rng.choice(inputs)} for _ in range(rng.randint(1, 3))]
+        doc = {"steps": steps, "output_alphabet": list(outputs), "input_alphabet": list(inputs)}
+        bound = rng.randint(1, 3)
+        path = write_json(tmp_path / "t.json", doc)
+        out_path = tmp_path / "report.json"
+        argv = ["enumerate", path, "--max-states", str(bound)]
+        assert cli.main(argv) == 0
+        printed = capsys.readouterr().out
+        assert cli.main([*argv, "--out", str(out_path)]) == 0
+        report = json.loads(printed)
+        report["results"]["machines"] = [machine_to_dict(m) for m in enumerate_consistent(trace_from_dict(doc), bound)]
+        expected = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        assert printed == expected, doc
+        assert out_path.read_bytes() == expected.encode("utf-8"), doc
+
+
 def test_all_consistent_replay_rejects_a_corrupted_row(capsys):
     trace = Trace((0, 1, 1, 0), ("x", "y", "x"))
     argv = ["enumerate", GOLDEN_TRACE, "--max-states", "3"]
@@ -487,6 +513,30 @@ def test_all_consistent_replays_the_rows_as_written(capsys, monkeypatch):
     assert report["results"]["machines"] == written
     assert cli.main([*argv, "--format", "table"]) == 1
     assert capsys.readouterr().out == "max_states,count\n1,0\n2,2\n3,59\n"
+
+
+def test_enumerate_table_builds_no_row_text(capsys, monkeypatch):
+    """``--format table`` replays every row for the checks but renders none,
+    so its bytes and exit codes hold with the row-text builder broken."""
+
+    def broken(self, pad):
+        raise AssertionError("a table renders no machine row")
+
+    monkeypatch.setattr(serialize.MachineRows, "texts", broken)
+    argv = ["enumerate", GOLDEN_TRACE, "--max-states", "3", "--format", "table"]
+    with open(os.path.join(os.path.dirname(GOLDEN_TRACE), "expected", "enumerate.csv"), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    rows = cli.encoding_rows
+
+    def one_row_flipped(*args):
+        for i, row in enumerate(rows(*args)):
+            yield {**row, "lambda": [1 - out for out in row["lambda"]]} if i == 1 else row
+
+    monkeypatch.setattr(cli, "encoding_rows", one_row_flipped)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == expected
 
 
 XYX = {"steps": [{"output": 0}, {"output": 1, "input": "a"}, {"output": 0, "input": "b"}], "input_alphabet": ["a", "b"]}

@@ -251,3 +251,26 @@ def test_undecodable_file_is_named_in_its_error(fmt, tmp_path):
     assert code == 2 and out.getvalue() == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert str(tmp_path / target) in err and "invalid UTF-8" in err, err
+
+
+@pytest.mark.parametrize(
+    "fmt, path",
+    [("trace", ("steps", 0, "output")), ("machine", ("initial",)), ("chsh", ("angles", "a")),
+     ("geiger", ("detector", "saturation"))],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_an_integer_too_long_to_read_is_named_in_its_error(fmt, path, tmp_path):
+    """``int`` refuses a literal of more than ``sys.get_int_max_str_digits()``
+    digits (4300 by default) with a bare ValueError; the error names the file."""
+    argv, files, target = FORMATS[fmt]
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    text = json.dumps(replaced(files[target], path, "LONG")).replace('"LONG"', "9" * 5000)
+    (tmp_path / target).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert code == 2 and out.getvalue() == ""
+    assert err.startswith(f"error: {tmp_path / target}: invalid JSON (") and err.count("\n") == 1, err

@@ -19,6 +19,7 @@ from moorelimit.demos import (
 )
 from moorelimit.detector import detector_from_dict, source_from_dict
 from moorelimit.serialize import (
+    MachineRows,
     ParseError,
     dumps_report,
     encoding_rows,
@@ -423,6 +424,19 @@ def test_dumps_report_renders_freshly_built_lists_a_generator_yields():
     assert dumps_report(doc) == reference_dumps([[i, i + 1] for i in range(50)])
 
 
+def test_machine_rows_render_freshly_built_lists_as_json_does():
+    # as above: a row's lists are freed once it is rendered unless the row
+    # renderer holds them, so a cache keyed by id alone would find a later
+    # list under an old id
+    def rows():
+        for i in range(60):
+            yield {"states": 1 + i % 3, "inputs": ["a", i], "outputs": [i, '"ö"'], "initial": 0,
+                   "delta": [[i % 2, 0]] * (1 + i % 3), "lambda": [i, -i, None][: 1 + i % 3]}
+
+    doc = {"machines": MachineRows(rows()), "none": MachineRows(iter(())), "after": [1]}
+    assert dumps_report(doc) == reference_dumps({"machines": list(rows()), "none": [], "after": [1]})
+
+
 def test_dumps_report_renders_a_generator_nested_in_a_dict_in_a_list():
     shared = ["a", 1]
 
@@ -441,6 +455,30 @@ def test_write_report_streams_the_wide_rows_from_their_generator():
     assert len(chunks) > 1
     assert max(len(chunk) for chunk in chunks) < CHUNK_BOUND
     assert "".join(chunks) == reference_dumps(doc(list(wide_rows())))
+
+
+def test_enumerate_streams_its_machine_rows_in_bounded_chunks(tmp_path, monkeypatch):
+    """``enumerate`` renders its rows as whole-row texts; the chunks it writes
+    stay bounded in characters, however few parts they hold."""
+    path = tmp_path / "xyx.json"
+    path.write_text(json.dumps({"steps": [{"output": 0}, {"output": 1, "input": "a"}, {"output": 0, "input": "b"}],
+                                "input_alphabet": ["a", "b"]}))
+    chunks = []
+
+    class Counting:
+        write = chunks.append
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr("sys.stdout", Counting())
+    assert cli.main(["enumerate", str(path), "--max-states", "4"]) == 0
+    monkeypatch.undo()
+    assert len(chunks) > 1
+    assert max(len(chunk) for chunk in chunks) < CHUNK_BOUND
+    report = json.loads("".join(chunks))
+    report["results"]["machines"] = list(wide_rows())
+    assert "".join(chunks) == reference_dumps(report)
 
 
 def test_write_atomic_keeps_the_old_target_when_a_generator_yields_a_refused_value(tmp_path):
