@@ -248,14 +248,15 @@ def cmd_enumerate(args) -> int:
         checks["all_consistent"] = replayed
         checks["all_within_bound"] = within
 
+    rows = machines()
     results = {
         "counts": [{"max_states": n, "count": c} for n, c in enumerate(tally, 1)],
         "count": tally[-1],
-        "machines": MachineRows(machines()),  # rendered before checks, which it completes
+        "machines": MachineRows(rows),  # rendered before checks, which it completes
     }
 
     def table():
-        for _ in results["machines"]:  # replayed for the checks, never held
+        for _ in rows:  # replayed for the checks, never held
             pass
         return ["max_states", "count"], list(enumerate(tally, 1))
 

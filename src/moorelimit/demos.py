@@ -380,6 +380,10 @@ def cmd_exchange(args) -> int:
     observer, densities = quantum_blocks_from_dict(doc, args.config)
     if len(sources) != 2:
         raise ParseError(f"{_at(args.config, 'sources')}: exchange compares exactly two sources, got {len(sources)}")
+    missing = [key for key in ("observer", "density_a", "density_b") if key not in doc]
+    if 0 < len(missing) < 3:
+        raise ParseError(f"{args.config}: missing {' and '.join(map(repr, missing))}; "
+                         "the statistics need observer, density_a and density_b together")
     rows = _source_rows(names, sources, detector, args.config)
     records_equal = rows[0]["outcome"] == rows[1]["outcome"]
     configs_identical = sources[0] == sources[1]
@@ -399,7 +403,7 @@ def cmd_exchange(args) -> int:
         "records_equal": records_equal,
         "configs_distinct": not configs_identical,
     }
-    if observer is not None and len(densities) == 2:
+    if observer is not None:  # then both densities are present too
         rho_a, rho_b = densities
         stats_a = _checked(_at(args.config, "density_a"), lambda: outcome_statistics(rho_a, observer))
         stats_b = _checked(_at(args.config, "density_b"), lambda: outcome_statistics(rho_b, observer))

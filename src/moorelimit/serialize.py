@@ -6,14 +6,14 @@ from the second step on, an optional ``input``).  Each JSON kind has one
 reader (``_object``, ``_symbol``, ``_number``, ``_integer``) that every
 document uses, here and in :mod:`moorelimit.demos`, which reads the physics
 commands' documents.  Parsing raises :class:`ParseError` with a field-level
-message.  :func:`write_report` renders a report to its destination in chunks
-of bounded size, so the whole text is never held in memory, and renders a
-generator as the array of what it yields, consuming it as it goes.  It
-renders :func:`encoding_rows`'s rows wrapped in a :class:`MachineRows` the
-same way, each row's text joined from cached texts of its parts, so a report
-never holds all its rows.  :func:`dumps_report` joins the chunks into one
-string.  :func:`write_atomic` streams into a temp file and renames it over
-the target only when the writing has finished.
+message.  :func:`write_report` renders a JSON value to its destination in
+chunks of bounded size, so the whole text is never held in memory.  The one
+other value it renders is a :class:`MachineRows`, which wraps
+:func:`encoding_rows`'s rows: each row's text is joined from cached texts of
+its parts, and the rows are consumed as they are rendered, so a report never
+holds all of them.  :func:`dumps_report` joins the chunks into one string.
+:func:`write_atomic` streams into a temp file and renames it over the target
+only when the writing has finished.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import os
 import tempfile
 from collections.abc import Iterator
 from pathlib import Path
-from types import GeneratorType
 
 from .machines import Machine, Trace, _quoted
 
@@ -116,13 +115,12 @@ def encoding_rows(encodings, inputs: tuple, outputs: tuple) -> Iterator[dict]:
     the alphabets ``inputs`` and ``outputs``, one per encoding, yielded one at
     a time, so no list of them ever exists.
 
-    Equal parts are one object: every row holds the same ``inputs`` and
-    ``outputs`` lists, and rows share one list per distinct transition row and
-    one ``lambda`` per distinct output tuple, which is what lets
-    :meth:`MachineRows.texts` build each part's text once.  The completions
-    of one table are adjacent in the sorted encodings, so they share one
-    ``delta`` and only the current one is kept.  The rows are for reading
-    and rendering, not for mutation.
+    Equal parts are one object, as :class:`MachineRows` needs to render each
+    part's text once: every row holds the same ``inputs`` and ``outputs``
+    lists, and rows share one list per distinct transition row and one
+    ``lambda`` per distinct output tuple.  The completions of one table are
+    adjacent in the sorted encodings, so they share one ``delta`` and only
+    the current one is kept.
     """
     k = len(inputs)
     inputs, outputs = list(inputs), list(outputs)
@@ -209,7 +207,6 @@ def load_json(path) -> object:
 
 
 _encode_str = json.encoder.encode_basestring  # the string spelling of ensure_ascii=False
-_CONTAINERS = (dict, list, tuple, GeneratorType)
 
 
 def _scalar(value) -> str:
@@ -239,22 +236,23 @@ def _array_text(items, pad: str, text=_scalar) -> str:
 
 class MachineRows:
     """Documents in :func:`_machine_row`'s layout, such as :func:`encoding_rows`
-    yields.  :func:`write_report` renders them as the array of their
-    :meth:`texts`; iterating them iterates the rows and builds no text."""
+    yields, which :func:`write_report` renders as the array of their
+    :meth:`texts`, consuming ``rows`` as it goes.
+
+    A part's text is cached by the identity of its object: the head (``states``
+    to ``initial``) is built again only when a value is not the last row's
+    object, the ``delta`` text once per list, and each transition row's and
+    ``lambda``'s text once per list, held till the rows run out so no other
+    object takes its id.  So equal parts should be one object, and no list may
+    change while the rows are rendered.
+    """
 
     def __init__(self, rows):
         self.rows = rows
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def texts(self, pad: str) -> Iterator[str]:
         """Each row's text at indentation ``pad``, as :mod:`json` spells it, joined
-        from cached texts of the row's own fields: the head (``states`` to
-        ``initial``), built again when a value is not the last row's object (once
-        per state count for :func:`encoding_rows`); the ``delta`` once per list,
-        so once per table; each transition row and ``lambda`` once per list, held
-        till the rows run out so no other object takes its id.  No list may change."""
+        from the cached texts of the row's own fields."""
         inner = pad + "  "
         field = ",\n" + inner
         cells: dict[int, str] = {}  # id of a transition row -> its text
@@ -288,8 +286,37 @@ class MachineRows:
             yield prefix + tail
 
 
+_CONTAINERS = (dict, list, tuple, MachineRows)
+
 #: How many characters of text :func:`write_report` may hold before it passes them on.
 CHUNK_CHARS = 64 * 1024
+
+
+def _render(value, pad: str, emit) -> None:
+    """Pass the text of ``value`` at indentation ``pad`` to ``emit``, part by part."""
+    if not isinstance(value, _CONTAINERS):
+        emit(_scalar(value))
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        lead = "{\n" + inner
+        for k, v in value.items():
+            emit(lead + _key_text(k) + ": ")
+            _render(v, inner, emit)
+            lead = sep
+        emit("\n" + pad + "}" if value else "{}")
+        return
+    rows = type(value) is MachineRows
+    if not (rows or any(isinstance(v, _CONTAINERS) for v in value)):
+        emit(_array_text(value, pad))
+        return
+    lead = "[\n" + inner
+    for v in value.texts(inner) if rows else value:
+        emit(lead)
+        emit(v) if rows else _render(v, inner, emit)
+        lead = sep
+    emit("\n" + pad + "]" if lead is sep else "[]")  # only rows can be empty here
 
 
 def write_report(doc: object, write) -> None:
@@ -300,20 +327,15 @@ def write_report(doc: object, write) -> None:
     ensure_ascii=False) + "\\n"`` for every JSON value (dicts, lists, tuples,
     strings, numbers, bools, None), with the same key conversion and the same
     TypeError for a value or key ``json`` refuses; a circular structure is
-    not a JSON value and ends in a RecursionError.  A generator, which
-    ``json`` refuses, renders as the array of what it yields, so the text is
-    the one ``json`` gives with the generator replaced by that list; it is
-    consumed once, as it is rendered.  A :class:`MachineRows` renders as the
-    array of its rows the same way, each row as the text its
-    :meth:`~MachineRows.texts` builds.  A refused value ends the call after
-    the chunks before it have been written.
+    not a JSON value and ends in a RecursionError.  The one other value it
+    renders is a :class:`MachineRows`, as the array of its rows, each row as
+    the text its :meth:`~MachineRows.texts` builds.  A refused value ends the
+    call after the chunks before it have been written.
 
     The text is built as a list of parts, joined and passed to ``write`` as
     soon as they hold more than :data:`CHUNK_CHARS` characters, so neither
-    the whole text nor the list of all its parts ever exists.  The text of
-    each string key is cached.
+    the whole text nor the list of all its parts ever exists.
     """
-    keys: dict[str, str] = {}
     out: list[str] = []
     size = 0  # characters in out
 
@@ -326,43 +348,9 @@ def write_report(doc: object, write) -> None:
             out.clear()
             size = 0
 
-    def render(value, pad: str) -> None:
-        rows = type(value) is MachineRows
-        if not (rows or isinstance(value, _CONTAINERS)):
-            emit(_scalar(value))
-            return
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if isinstance(value, dict):
-            lead = "{\n" + inner
-            for k, v in value.items():
-                name = keys.get(k)  # only str keys are stored, so 1, True and 1.0 never match
-                if name is None:
-                    name = _key_text(k) + ": "
-                    if type(k) is str:
-                        keys[k] = name
-                emit(lead)
-                emit(name)
-                render(v, inner)
-                lead = sep
-            emit("\n" + pad + "}" if value else "{}")
-        elif rows or type(value) is GeneratorType or any(isinstance(v, _CONTAINERS) for v in value):
-            lead = "[\n" + inner
-            for v in value.texts(inner) if rows else value:
-                emit(lead)
-                emit(v) if rows else render(v, inner)
-                lead = sep
-            emit("\n" + pad + "]" if lead is sep else "[]")  # only a generator or rows can be empty here
-        else:
-            emit(_array_text(value, pad))
-
-    try:
-        render(doc, "")
-        emit("\n")
-        write("".join(out))
-    finally:
-        # render refers to itself, so this frame outlives the call until the cycle collector runs
-        out.clear()
+    _render(doc, "", emit)
+    emit("\n")
+    write("".join(out))
 
 
 def dumps_report(doc: object) -> str:

@@ -234,6 +234,9 @@ POVM_Z = {
 }
 
 
+MIXED = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+
+
 def with_observer(env_dim=2, **povm):
     """A two-source scenario whose observer carries one POVM, ``POVM_Z`` updated by ``povm``."""
     return {
@@ -295,6 +298,13 @@ def with_observer(env_dim=2, **povm):
             },
             "c.json: density_a: state dim 1 != POVM dim 2",
         ),
+        ("exchange", {**with_observer(), "density_a": MIXED}, "c.json: missing 'density_b'; the statistics need"),
+        (
+            "exchange",
+            {"sources": {"s": SOURCE, "t": SOURCE}, "detector": DETECTOR, "density_a": MIXED, "density_b": MIXED},
+            "c.json: missing 'observer'; the statistics need",
+        ),
+        ("exchange", with_observer(), "c.json: missing 'density_a' and 'density_b'; the statistics need"),
     ],
     ids=[
         "chsh-array", "chsh-angles-number", "chsh-angle-array", "chsh-angle-string",
@@ -308,6 +318,7 @@ def with_observer(env_dim=2, **povm):
         "chsh-state-dim-2", "pair-dims-differ",
         "exchange-density-not-hermitian", "exchange-one-source", "exchange-no-detector",
         "geiger-no-detector", "exchange-distance-underflow", "exchange-density-dim",
+        "exchange-no-density-b", "exchange-no-observer", "exchange-observer-only",
     ],
 )
 def test_malformed_config_exits_2_naming_the_field(capsys, tmp_path, command, doc, field):
@@ -979,6 +990,13 @@ def test_geiger_single_source_has_no_equality_check(capsys, tmp_path):
     assert code == 0
     assert "outcomes_equal" not in report["results"]
     assert list(report["checks"]) == ["within_saturation"]
+
+
+def test_geiger_checks_a_partial_set_of_quantum_blocks_and_ignores_it(capsys, tmp_path):
+    config = write_json(tmp_path / "c.json", {**with_observer(), "density_a": MIXED})
+    code, report = run_report(capsys, ["geiger", "--config", config])
+    assert code == 0
+    assert "statistics" not in report["results"]
 
 
 def test_geiger_sampled_counts_deterministic(capsys, tmp_path):

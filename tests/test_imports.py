@@ -1,6 +1,7 @@
 """Every name a module under ``src/moorelimit/`` imports is used in that module,
-no module imports ``dataclasses`` or ``inspect``, the machine commands, ``ks``
-and ``geiger`` load no physics module and, for a report, no ``csv``, and the
+every module-level private name is read somewhere in the package, no module
+imports ``dataclasses`` or ``inspect``, the machine commands, ``ks`` and
+``geiger`` load no physics module and, for a report, no ``csv``, and the
 physics commands load numpy only to draw."""
 
 import ast
@@ -56,6 +57,49 @@ def test_module_uses_every_name_it_imports(path):
 
 def test_scan_sees_an_unused_import():
     assert unused_imports("import os\nfrom typing import Any, List\nx: Any = 1\n") == ["os", "List"]
+
+
+def private_names(statement) -> list[str]:
+    """The ``_name``s (dunders excluded) a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """``FILE:NAME`` for each module-level private name of ``sources`` (file
+    name -> text) that no statement but its own definition reads, as a name or
+    as an attribute."""
+    statements = [(name, node) for name, text in sources.items() for node in ast.parse(text).body]
+    reads = [
+        {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        for _, node in statements
+    ]
+    return [
+        f"{file}:{name}"
+        for i, (file, node) in enumerate(statements)
+        for name in private_names(node)
+        if not any(name in read for j, read in enumerate(reads) if j != i)
+    ]
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert unreferenced_privates({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_scan_sees_an_unreferenced_private_name():
+    sources = {
+        "a.py": "_SEEN = 1\n_UNSEEN, __all__ = 2, []\n\ndef _helper():\n    return _SEEN\n\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n\nclass _Unused:\n    pass\n",
+        "b.py": "from . import a\n\nvalue = a._helper()\n",
+    }
+    assert unreferenced_privates(sources) == ["a.py:_UNSEEN", "a.py:_recursive", "a.py:_Unused"]
 
 
 def imported_packages(source: str) -> set[str]:
