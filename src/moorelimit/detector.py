@@ -18,7 +18,7 @@ import math
 
 from .cli import _finish
 from .machines import _Value
-from .serialize import ParseError, _at, _checked, _integer, _number, _object, _require, load_json
+from .serialize import ParseError, _at, _checked, _integer, _number, _object, _require, _symbol, load_json
 
 #: config blocks only ``exchange`` uses; ``geiger`` checks them after the counter blocks
 QUANTUM_BLOCKS = ("observer", "density_a", "density_b")
@@ -130,7 +130,7 @@ def counters_from_dict(doc: dict, path: str | None = None) -> tuple:
     src_block = _object(doc, str(path)).get("sources")
     if not isinstance(src_block, dict) or not src_block:
         raise ParseError(f"{path or 'scenario'}: expected a nonempty 'sources' object")
-    names = list(src_block)
+    names = [_symbol(name, _at(path, "sources")) for name in src_block]
     sources = [source_from_dict(src_block[name], _at(path, f"sources.{name}")) for name in names]
     detector = detector_from_dict(doc.get("detector", {}), _at(path, "detector"))
     return names, sources, detector

@@ -6,14 +6,10 @@ from the second step on, an optional ``input``).  Each JSON kind has one
 reader (``_object``, ``_symbol``, ``_number``, ``_integer``) that every
 document uses, here and in :mod:`moorelimit.demos`, which reads the physics
 commands' documents.  Parsing raises :class:`ParseError` with a field-level
-message.  :func:`write_report` renders a JSON value to its destination in
-chunks of bounded size, so the whole text is never held in memory.  The one
-other value it renders is a :class:`MachineRows`, which wraps
-:func:`encoding_rows`'s rows: each row's text is joined from cached texts of
-its parts, and the rows are consumed as they are rendered, so a report never
-holds all of them.  :func:`dumps_report` joins the chunks into one string.
-:func:`write_atomic` streams into a temp file and renames it over the target
-only when the writing has finished.
+message.  :func:`write_report` streams :mod:`json`'s text of a report in
+chunks; a :class:`MachineRows` in it only caches and joins the texts json
+gives its rows' parts, consuming the rows as it goes.  :func:`write_atomic`
+streams into a temp file and renames it over the target when it is done.
 """
 
 from __future__ import annotations
@@ -61,6 +57,8 @@ def _symbols(values, where: str) -> list:
 def _symbol(sym, where: str):
     if isinstance(sym, bool) or not isinstance(sym, (str, int)):
         raise ParseError(f"{where}: a symbol must be a string or an integer, got {_quoted(sym)}")
+    if isinstance(sym, str):
+        _checked(where, sym.encode)  # UTF-8 refuses a lone surrogate, which a JSON escape can spell
     return sym
 
 
@@ -184,9 +182,7 @@ def trace_from_dict(doc: dict, where: str = "trace") -> Trace:
         elif "input" in step:
             inputs.append(_symbol(step["input"], f"{at}.input"))
     if inputs and len(inputs) != len(outputs) - 1:
-        raise ParseError(
-            f"{where}: inputs must appear on every step after the first or on none"
-        )
+        raise ParseError(f"{where}: inputs must appear on every step after the first or on none")
     alphabets = [
         None if doc.get(key) is None else tuple(_symbols(doc[key], f"{where}.{key}")) or None
         for key in ("output_alphabet", "input_alphabet")
@@ -206,66 +202,44 @@ def load_json(path) -> object:
         raise ParseError(f"{path}: invalid JSON (nested too deeply)") from None
 
 
-_encode_str = json.encoder.encode_basestring  # the string spelling of ensure_ascii=False
-
-
-def _scalar(value) -> str:
-    """JSON text of a string, number, bool or None, spelled as :mod:`json`
-    spells it; the TypeError :mod:`json` raises for any other value."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None or value is True or value is False or isinstance(value, float):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    """A dict key as :mod:`json` writes it: a scalar's text, quoted as a string."""
-    if not (key is None or isinstance(key, (str, int, float))):  # a bool is an int
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return _encode_str(key if isinstance(key, str) else _scalar(key))
-
-
-def _array_text(items, pad: str, text=_scalar) -> str:
-    """The array of ``text`` of each of ``items`` (or of the items, if None) at ``pad``."""
-    inner = "\n" + pad + "  "
-    return f"[{inner}{(',' + inner).join(items if text is None else map(text, items))}\n{pad}]" if items else "[]"
+def _text(value, pad: str) -> str:
+    """``value`` as :mod:`json` spells it in a report, at indentation ``pad``."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + pad)
 
 
 class MachineRows:
     """Documents in :func:`_machine_row`'s layout, such as :func:`encoding_rows`
-    yields, which :func:`write_report` renders as the array of their
-    :meth:`texts`, consuming ``rows`` as it goes.
+    yields, which :func:`write_report` renders as the array of them that
+    :meth:`texts` spells, consuming ``rows`` as it goes.
 
-    A part's text is cached by the identity of its object: the head (``states``
-    to ``initial``) is built again only when a value is not the last row's
-    object, the ``delta`` text once per list, and each transition row's and
-    ``lambda``'s text once per list, held till the rows run out so no other
-    object takes its id.  So equal parts should be one object, and no list may
-    change while the rows are rendered.
+    Each part of a row is spelled by :func:`json.dumps`, and its text cached by
+    the identity of its object: the head (``states`` to ``initial``) is built
+    again only when a value is not the last row's object, the ``delta`` text
+    once per list, and each transition row's and ``lambda``'s text once per
+    list, held till the rows run out so no other object takes its id.  So
+    equal parts should be one object, and no list may change meanwhile.
     """
 
     def __init__(self, rows):
         self.rows = rows
 
     def texts(self, pad: str) -> Iterator[str]:
-        """Each row's text at indentation ``pad``, as :mod:`json` spells it, joined
-        from the cached texts of the row's own fields."""
-        inner = pad + "  "
-        field = ",\n" + inner
+        """The array of the rows as :mod:`json` spells it on a line indented by
+        ``pad``, row by row, each row joined from cached texts of its fields."""
+        inner, deeper = pad + "  ", pad + "    "
+        field = ",\n" + deeper
         cells: dict[int, str] = {}  # id of a transition row -> its text
         tails: dict[int, str] = {}  # id of a lambda -> the row's text from "lambda" on
         held: list = []  # every list in cells and tails
         states = inputs = outputs = initial = delta = unset = object()  # no row's value
+        lead = "[\n" + inner
         for row in self.rows:
             if not (row["states"] is states and row["inputs"] is inputs
                     and row["outputs"] is outputs and row["initial"] is initial):
                 states, inputs, outputs, initial = row["states"], row["inputs"], row["outputs"], row["initial"]
                 head = (
-                    f'{{\n{inner}"states": {_scalar(states)}{field}"inputs": {_array_text(inputs, inner)}'
-                    f'{field}"outputs": {_array_text(outputs, inner)}{field}"initial": {_scalar(initial)}{field}"delta": '
+                    f'{{\n{deeper}"states": {_text(states, deeper)}{field}"inputs": {_text(inputs, deeper)}'
+                    f'{field}"outputs": {_text(outputs, deeper)}{field}"initial": {_text(initial, deeper)}{field}"delta": '
                 )
                 delta = unset
             if row["delta"] is not delta:
@@ -274,82 +248,70 @@ class MachineRows:
                 for cell in delta:
                     text = cells.get(id(cell))
                     if text is None:
-                        text = cells[id(cell)] = _array_text(cell, inner + "  ")
+                        text = cells[id(cell)] = _text(cell, deeper + "  ")
                         held.append(cell)
                     texts.append(text)
-                prefix = head + _array_text(texts, inner, None)
+                prefix = head + (f"[\n{deeper}  {(field + '  ').join(texts)}\n{deeper}]" if texts else "[]")
             lam = row["lambda"]
             tail = tails.get(id(lam))
             if tail is None:
-                tail = tails[id(lam)] = f'{field}"lambda": {_array_text(lam, inner)}\n{pad}}}'
+                tail = tails[id(lam)] = f'{field}"lambda": {_text(lam, deeper)}\n{inner}}}'
                 held.append(lam)
-            yield prefix + tail
+            yield lead + prefix + tail
+            lead = ",\n" + inner
+        yield "\n" + pad + "]" if lead[0] == "," else "[]"
 
-
-_CONTAINERS = (dict, list, tuple, MachineRows)
 
 #: How many characters of text :func:`write_report` may hold before it passes them on.
 CHUNK_CHARS = 64 * 1024
 
 
-def _render(value, pad: str, emit) -> None:
-    """Pass the text of ``value`` at indentation ``pad`` to ``emit``, part by part."""
-    if not isinstance(value, _CONTAINERS):
-        emit(_scalar(value))
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(value, dict):
-        lead = "{\n" + inner
-        for k, v in value.items():
-            emit(lead + _key_text(k) + ": ")
-            _render(v, inner, emit)
-            lead = sep
-        emit("\n" + pad + "}" if value else "{}")
-        return
-    rows = type(value) is MachineRows
-    if not (rows or any(isinstance(v, _CONTAINERS) for v in value)):
-        emit(_array_text(value, pad))
-        return
-    lead = "[\n" + inner
-    for v in value.texts(inner) if rows else value:
-        emit(lead)
-        emit(v) if rows else _render(v, inner, emit)
-        lead = sep
-    emit("\n" + pad + "]" if lead is sep else "[]")  # only rows can be empty here
-
-
 def write_report(doc: object, write) -> None:
-    """Render ``doc`` to ``write`` in chunks: fixed key order, repr-exact floats,
-    one trailing newline.
+    """Render ``doc`` to ``write`` in chunks: ``json.dumps(doc, indent=2,
+    ensure_ascii=False)`` and a newline, as :meth:`json.JSONEncoder.iterencode`
+    spells it, with json's TypeError for a value or key it refuses and its
+    ValueError for a circular structure, raised after the chunks before it.
 
-    The chunks joined are byte-identical to ``json.dumps(doc, indent=2,
-    ensure_ascii=False) + "\\n"`` for every JSON value (dicts, lists, tuples,
-    strings, numbers, bools, None), with the same key conversion and the same
-    TypeError for a value or key ``json`` refuses; a circular structure is
-    not a JSON value and ends in a RecursionError.  The one other value it
-    renders is a :class:`MachineRows`, as the array of its rows, each row as
-    the text its :meth:`~MachineRows.texts` builds.  A refused value ends the
-    call after the chunks before it have been written.
-
-    The text is built as a list of parts, joined and passed to ``write`` as
-    soon as they hold more than :data:`CHUNK_CHARS` characters, so neither
-    the whole text nor the list of all its parts ever exists.
+    The one value json does not know is a :class:`MachineRows`: the encoder's
+    ``default`` hook returns ``[]`` for it, and in place of the ``"[]"`` json
+    yields next go its :meth:`~MachineRows.texts` at the indentation of the
+    current line (a JSON text holds a raw newline only between lines).  The
+    code relies on ``iterencode`` taking json's lazy pure-Python path, which
+    it does whenever ``indent`` is set: a value is read only when its text is
+    due, so ``cmd_enumerate``'s ``checks``, after its rows, shows what the
+    rows' generator set.  The text goes to ``write`` whenever more than
+    :data:`CHUNK_CHARS` characters are held, so the whole of it never exists.
     """
+    pending: list[MachineRows] = []  # the rows whose "[]" json yields next
+
+    def default(value):
+        if type(value) is not MachineRows:
+            return json.JSONEncoder.default(encoder, value)  # raises json's TypeError
+        pending.append(value)
+        return []
+
+    def pieces() -> Iterator[str]:
+        pad = ""  # the indentation of the current line
+        for text in encoder.iterencode(doc):
+            if pending:
+                yield from pending.pop().texts(pad)
+                continue
+            if "\n" in text:
+                line = text.rpartition("\n")[2]
+                pad = line[: len(line) - len(line.lstrip(" "))]
+            yield text
+        yield "\n"
+
+    encoder = json.JSONEncoder(indent=2, ensure_ascii=False, default=default)
     out: list[str] = []
     size = 0  # characters in out
-
-    def emit(text: str) -> None:
-        nonlocal size
+    for text in pieces():
         out.append(text)
         size += len(text)
         if size > CHUNK_CHARS:
             write("".join(out))
             out.clear()
             size = 0
-
-    _render(doc, "", emit)
-    emit("\n")
     write("".join(out))
 
 

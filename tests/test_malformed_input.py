@@ -4,7 +4,7 @@ Each case starts from a valid document of one input format, puts a value of
 some JSON kind at one path of it, and runs ``cli.main`` in process.  No
 exception may escape; exit 2 prints exactly one ``error:`` line, which names
 the mutated file; exit 0 or 1 prints strict JSON (no ``NaN`` or ``Infinity``
-tokens); no warning is raised.
+tokens) that encodes as UTF-8; no warning is raised.
 """
 
 import contextlib
@@ -107,6 +107,7 @@ KINDS = st.one_of(
     st.floats(),
     st.sampled_from([math.nan, math.inf, 1e308]),
     st.text(max_size=3),
+    st.sampled_from(["\udc80", "a\ud800"]),  # lone surrogates: JSON escapes spell them, UTF-8 cannot
     st.lists(st.one_of(st.integers(0, 1), st.floats(0, 1)), max_size=3),
     st.dictionaries(st.sampled_from(["x", "dim", "re"]), st.integers(0, 2), max_size=2),
 )
@@ -136,7 +137,7 @@ def reject_constant(token):
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_malformed_input_keeps_the_exit_code_contract(fmt, data):
     argv, files, target = FORMATS[fmt]
@@ -164,6 +165,7 @@ def test_malformed_input_keeps_the_exit_code_contract(fmt, data):
     else:
         assert code in (0, 1) and err == ""
         json.loads(out, parse_constant=reject_constant)
+        out.encode("utf-8")  # a report is UTF-8 text
 
 
 def vector(re, im=None):
@@ -274,3 +276,60 @@ def test_an_integer_too_long_to_read_is_named_in_its_error(fmt, path, tmp_path):
     err = err.getvalue()
     assert code == 2 and out.getvalue() == ""
     assert err.startswith(f"error: {tmp_path / target}: invalid JSON (") and err.count("\n") == 1, err
+
+
+TRACE = {"steps": [{"output": 0}, {"output": "b", "input": "a"}]}  # no declared alphabet to refuse a symbol
+MACHINE = FORMATS["machine"][1]["m.json"]
+SURROGATE_SOURCES = {**SCENARIO, "sources": {"\udc80": SCENARIO["sources"]["near"], "far": SCENARIO["sources"]["far"]}}
+
+# case -> (argv naming files by their names, {file name: document}, file and field the error names)
+SURROGATE_CASES = {
+    "witness-trace-output": (
+        ["witness", "t.json"], {"t.json": replaced(TRACE, ("steps", 0, "output"), "\udc80")},
+        "t.json.steps[0].output",
+    ),
+    "witness-high-surrogate": (
+        ["witness", "t.json"], {"t.json": replaced(TRACE, ("steps", 0, "output"), "\ud800")},
+        "t.json.steps[0].output",
+    ),
+    "enumerate-trace-input": (
+        ["enumerate", "t.json", "--max-states", "2"],
+        {"t.json": replaced(TRACE, ("steps", 1, "input"), "\ud800")}, "t.json.steps[1].input",
+    ),
+    "enumerate-table-trace-input": (
+        ["enumerate", "t.json", "--max-states", "2", "--format", "table"],
+        {"t.json": replaced(TRACE, ("steps", 1, "input"), "\ud800")}, "t.json.steps[1].input",
+    ),
+    "distinguish-machine-lambda": (
+        ["distinguish", "m.json", "n.json"],
+        {"m.json": MACHINE, "n.json": replaced(MACHINE, ("lambda", 1), "\udc80")}, "n.json.lambda[1]",
+    ),
+    "exchange-povm-label": (
+        ["exchange", "--config", "s.json"],
+        {"s.json": SCENARIO, "povm.json": replaced(POVM, ("labels", 0), "a\udc80")}, "povm.json: povm.labels[0]",
+    ),
+    "exchange-source-name": (
+        ["exchange", "--config", "s.json"], {"s.json": SURROGATE_SOURCES, "povm.json": POVM}, "s.json: sources",
+    ),
+    "geiger-source-name": (["geiger", "--config", "s.json"], {"s.json": SURROGATE_SOURCES}, "s.json: sources"),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("case", sorted(SURROGATE_CASES))
+def test_a_lone_surrogate_in_a_string_exits_2_naming_file_and_field(case, to_file, tmp_path):
+    """A lone surrogate cannot be written as UTF-8, so it is refused where it is
+    read, whatever the destination or the format."""
+    argv, files, field = SURROGATE_CASES[case]
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))  # ensure_ascii spells the surrogate as an escape
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    report = tmp_path / "r.json"
+    if to_file:
+        argv += ["--out", str(report)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert (code, out.getvalue(), report.exists()) == (2, "", False), err
+    assert err.startswith(f"error: {tmp_path / field}") and err.count("\n") == 1, err

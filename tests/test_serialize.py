@@ -486,3 +486,47 @@ def test_write_atomic_keeps_the_old_target_when_machine_rows_hold_a_refused_valu
     assert written  # chunks reached the temp file before the render failed
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def small_rows(tag):
+    """A few machine rows whose parts are shared, as :func:`encoding_rows` shares them."""
+    inputs, outputs = ["a", tag], [0, "x"]
+    for j in range(3):
+        yield {"states": 2, "inputs": inputs, "outputs": outputs, "initial": 0,
+               "delta": [[j % 2, 0], [1, 1]], "lambda": [j, "x"]}
+
+
+def test_machine_rows_after_a_string_item_of_a_list():
+    def doc(wrap):
+        return ["line\n", wrap(small_rows("s")), "after", wrap(small_rows("t"))]
+
+    assert dumps_report(doc(MachineRows)) == reference_dumps(doc(list))
+
+
+def test_machine_rows_at_depth_four():
+    def doc(wrap):
+        return {"a": [{"b": {"c": [1, wrap(small_rows("d"))], "e": wrap(iter(()))}}], "f": {"g": wrap(small_rows("h"))}}
+
+    assert dumps_report(doc(MachineRows)) == reference_dumps(doc(list))
+
+
+def test_a_value_set_once_the_rows_run_out_renders_with_its_final_value():
+    checks = {"all_rows_seen": False, "rows": 0}
+
+    def rows():
+        for row in small_rows("z"):
+            checks["rows"] += 1
+            yield row
+        checks["all_rows_seen"] = True
+
+    text = dumps_report({"machines": MachineRows(rows()), "checks": checks})
+    assert text == reference_dumps({"machines": list(small_rows("z")), "checks": {"all_rows_seen": True, "rows": 3}})
+
+
+def test_a_circular_document_raises_what_json_raises():
+    doc = {"rows": []}
+    doc["rows"].append(doc)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        reference_dumps(doc)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        dumps_report(doc)
