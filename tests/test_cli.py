@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -436,9 +437,13 @@ def test_enumerate_rows_equal_the_documents_of_enumerated_machines(capsys, tmp_p
         bound = rng.randint(1, 3)
         path = write_json(tmp_path / "t.json", doc)
         code, report = run_report(capsys, ["enumerate", path, "--max-states", str(bound)])
-        machines = enumerate_consistent(trace_from_dict(doc), bound)
+        trace = trace_from_dict(doc)
+        machines = enumerate_consistent(trace, bound)
         assert code == 0
         assert report["results"]["machines"] == [machine_to_dict(m) for m in machines], doc
+        tally = [len(enumerate_consistent(trace, n)) for n in range(1, bound + 1)]
+        assert [c["count"] for c in report["results"]["counts"]] == tally, doc
+        assert report["results"]["count"] == tally[-1], doc
 
 
 # alphabets whose symbols json must escape or spell at length
@@ -574,6 +579,30 @@ def test_enumerate_holds_no_rows_beyond_its_encodings(capsys, tmp_path, form):
     search = peak(lambda: consistent_encodings(trace_from_dict(XYX), 4))
     assert peak(lambda: cli.main(argv)) - search < 512 * 1024
     assert capsys.readouterr().out == ("" if form == "report" else "max_states,count\n1,0\n2,4\n3,142\n4,6998\n")
+
+
+# sha256 of the x,y,x report at N=4 (6998 rows) and of its table, run on the relative name "xyx.json"
+XYX_SHA256 = {
+    "report": "39877f72c0d71446c621f9232414e91e121165edb879ad761e254954aeae0bbb",
+    "table": "e5d2cfc0c29f0aa0f7c6f69b26c156bb222e9db1118e897dce66df624577e8f9",
+}
+
+
+def test_enumerate_wide_report_and_table_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the report echoes the trace's name as given
+    write_json(tmp_path / "xyx.json", XYX)
+    argv = ["enumerate", "xyx.json", "--max-states", "4"]
+
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert cli.main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == XYX_SHA256["report"]
+    assert cli.main([*argv, "--out", "report.json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert sha256((tmp_path / "report.json").read_bytes()) == XYX_SHA256["report"]
+    assert cli.main([*argv, "--format", "table"]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == XYX_SHA256["table"]
 
 
 def test_enumerate_requires_max_states(trace01):
