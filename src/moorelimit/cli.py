@@ -85,9 +85,14 @@ def _tolerance(text: str) -> float:
 
 
 def _path(text: str) -> str:
-    """An argparse type for ``--config`` and ``--out``: a file name, never empty."""
+    """An argparse type for every file-name argument: a name, never empty, that
+    UTF-8 can spell, as the report that echoes it must."""
     if not text:
         raise argparse.ArgumentTypeError("expected a file name, got ''")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a byte the file system encoding could not decode
+        raise argparse.ArgumentTypeError(f"expected a UTF-8 file name, got {text!r}") from None
     return text
 
 
@@ -356,21 +361,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("witness", parents=[common], help="two machines one trace cannot separate")
-    p.add_argument("trace", help="trace JSON file")
+    p.add_argument("trace", type=_path, help="trace JSON file")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("enumerate", parents=[common], help="all consistent machines up to a state bound")
-    p.add_argument("trace", help="trace JSON file")
+    p.add_argument("trace", type=_path, help="trace JSON file")
     p.add_argument("--max-states", type=_count_at_least(1, sys.maxsize), required=True, help="state bound N >= 1")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("distinguish", parents=[common], help="find an experiment separating two machines")
-    p.add_argument("machine_a", help="machine JSON file")
-    p.add_argument("machine_b", help="machine JSON file")
+    p.add_argument("machine_a", type=_path, help="machine JSON file")
+    p.add_argument("machine_b", type=_path, help="machine JSON file")
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("minimize", parents=[common], help="canonical minimal form of a machine")
-    p.add_argument("machine", help="machine JSON file")
+    p.add_argument("machine", type=_path, help="machine JSON file")
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("chsh", parents=[sampling], help="CHSH value vs the LHV bound")

@@ -12,6 +12,7 @@ import copy
 import io
 import json
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -333,3 +334,38 @@ def test_a_lone_surrogate_in_a_string_exits_2_naming_file_and_field(case, to_fil
     err = err.getvalue()
     assert (code, out.getvalue(), report.exists()) == (2, "", False), err
     assert err.startswith(f"error: {tmp_path / field}") and err.count("\n") == 1, err
+
+
+BAD_NAME = os.fsdecode(b"t\x80.json")  # "t\udc80.json": the byte 0x80 is not UTF-8
+
+# case -> (argv, the files it reads, the argument the error names)
+NON_UTF8_NAME_CASES = {
+    "witness-trace": (["witness", BAD_NAME], {BAD_NAME: TRACE}, "trace"),
+    "enumerate-trace": (["enumerate", BAD_NAME, "--max-states", "2"], {BAD_NAME: TRACE}, "trace"),
+    "enumerate-table-trace": (
+        ["enumerate", BAD_NAME, "--max-states", "2", "--format", "table"], {BAD_NAME: TRACE}, "trace",
+    ),
+    "distinguish-machine-a": (["distinguish", BAD_NAME, "m.json"], {BAD_NAME: MACHINE, "m.json": MACHINE}, "machine_a"),
+    "distinguish-machine-b": (["distinguish", "m.json", BAD_NAME], {BAD_NAME: MACHINE, "m.json": MACHINE}, "machine_b"),
+    "minimize-machine": (["minimize", BAD_NAME], {BAD_NAME: MACHINE}, "machine"),
+    "chsh-config": (["chsh", "--config", BAD_NAME], {BAD_NAME: {}}, "--config"),
+    "witness-out": (["witness", "t.json", "--out", BAD_NAME], {"t.json": TRACE}, "--out"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_NAME_CASES))
+def test_a_file_name_that_is_not_utf8_exits_2_at_parsing_naming_the_argument(case, tmp_path, monkeypatch):
+    """A report echoes its file names, so one that UTF-8 cannot spell is refused
+    before anything is read or written."""
+    argv, files, argument = NON_UTF8_NAME_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        with open(os.fsencode(name), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = err.getvalue()
+    assert (exc.value.code, out.getvalue()) == (2, ""), err
+    assert f"error: argument {argument}: " in err and "UTF-8" in err, err
+    assert sorted(os.listdir(".")) == sorted(files)  # no report, no temp file
