@@ -26,8 +26,8 @@ import argparse
 import math
 import os
 import sys
-from collections import Counter
-from itertools import accumulate
+from bisect import bisect_left
+from operator import itemgetter
 
 from . import __version__
 from .machines import (
@@ -44,7 +44,6 @@ from .machines import (
 from .serialize import (
     MachineRows,
     dumps_report,  # unused here; perfbench/tracing.py and tests/test_benchmark_contract.py use it by name
-    encoding_rows,
     load_json,
     machine_from_dict,
     machine_to_dict,
@@ -214,54 +213,55 @@ def cmd_witness(args) -> int:
     return _finish(args, "witness", echo, results, checks, lambda: _experiment_table(results))
 
 
-def _row_reproduces(row: dict, trace: Trace) -> bool:
-    """True iff the machine document ``row`` emits the trace's outputs on its inputs,
-    replayed on the row's own ``inputs`` order, ``delta`` and ``lambda``."""
-    inputs, delta, lam = row["inputs"], row["delta"], row["lambda"]
-    state = row["initial"]
-    emitted = [lam[state]]
-    for sym in trace.inputs:
-        state = delta[state][inputs.index(sym)]
-        emitted.append(lam[state])
-    return emitted == list(trace.outputs)
-
-
 def cmd_enumerate(args) -> int:
     trace, echo = _load_trace(args)
     bound = echo["max_states"] = args.max_states
     outputs, inputs = trace.alphabets
-    limit = sys.maxsize // len(inputs)  # beyond it, the search's flat table could not be indexed
+    k = len(inputs)
+    limit = sys.maxsize // k  # beyond it, the search's flat table could not be indexed
     if bound > limit:
-        raise ValueError(f"argument --max-states: must be <= {limit} over {len(inputs)} inputs, got {bound}")
-    encodings = consistent_encodings(trace, bound)
-    sizes = Counter(enc[0] for enc in encodings)
-    tally = list(accumulate(sizes[n] for n in range(1, bound + 1)))
+        raise ValueError(f"argument --max-states: must be <= {limit} over {k} inputs, got {bound}")
+    encodings = consistent_encodings(trace, bound)  # sorted, so by state count first
+    tally = [bisect_left(encodings, (n + 1,)) for n in range(1, bound + 1)]
     checks = {
         "counts_nondecreasing": all(x <= y for x, y in zip(tally, tally[1:])),
-        "all_consistent": False,  # both set by machines() once every row is out
+        "all_consistent": False,  # both set by checked() once every encoding is out
         "all_within_bound": False,
     }
+    steps = [inputs.index(sym) for sym in trace.inputs]
+    recorded = tuple(outputs.index(sym) for sym in trace.outputs)
+    recorded = recorded if len(recorded) > 1 else recorded[0]  # what itemgetter gives for one index
 
-    def machines():
-        """Each row of the report, replayed as it is yielded, so the rows
-        checked are the rows written and none outlives its turn."""
+    def checked():
+        """Each encoding, replayed on the trace's indices as it is yielded, so the
+        encodings checked are the encodings written.  The walk over the recorded
+        inputs finds the states a table visits; each of its completions then
+        has its outputs at those states read at once."""
         replayed = within = True
-        for row in encoding_rows(encodings, inputs, outputs):
-            replayed = replayed and _row_reproduces(row, trace)
-            within = within and row["states"] <= bound
-            yield row
+        table = None
+        for enc in encodings:
+            cut = 1 + enc[0] * k
+            if enc[:cut] != table:
+                table, state, visited = enc[:cut], 0, [cut]
+                for i in steps:
+                    state = table[1 + state * k + i]
+                    visited.append(cut + state)
+                emitted = itemgetter(*visited)
+            replayed = replayed and emitted(enc) == recorded
+            within = within and enc[0] <= bound
+            yield enc
         checks["all_consistent"] = replayed
         checks["all_within_bound"] = within
 
-    rows = machines()
+    rows = checked()
     results = {
         "counts": [{"max_states": n, "count": c} for n, c in enumerate(tally, 1)],
         "count": tally[-1],
-        "machines": MachineRows(rows),  # rendered before checks, which it completes
+        "machines": MachineRows(rows, inputs, outputs),  # rendered before checks, which it completes
     }
 
     def table():
-        for _ in rows:  # replayed for the checks, never held
+        for _ in rows:  # replayed for the checks, never rendered
             pass
         return ["max_states", "count"], list(enumerate(tally, 1))
 

@@ -7,8 +7,9 @@ reader (``_object``, ``_symbol``, ``_number``, ``_integer``) that every
 document uses, here and in :mod:`moorelimit.demos`, which reads the physics
 commands' documents.  Parsing raises :class:`ParseError` with a field-level
 message.  :func:`write_report` streams :mod:`json`'s text of a report in
-chunks; a :class:`MachineRows` in it only caches and joins the texts json
-gives its rows' parts, consuming the rows as it goes.  :func:`write_atomic`
+chunks; a :class:`MachineRows` in it spells the machines that search
+encodings describe, joining the texts json gives their parts and reading the
+encodings once.  :func:`write_atomic`
 streams into a temp file and renames it over the target when it is done.
 """
 
@@ -18,6 +19,7 @@ import json
 import os
 import tempfile
 from collections.abc import Iterator
+from itertools import groupby
 from pathlib import Path
 
 from .machines import Machine, Trace, _quoted
@@ -107,43 +109,6 @@ def machine_to_dict(machine: Machine) -> dict:
     )
 
 
-def encoding_rows(encodings, inputs: tuple, outputs: tuple) -> Iterator[dict]:
-    """The documents :func:`machine_to_dict` gives for the machines that
-    :func:`moorelimit.machines.consistent_encodings`'s encodings describe over
-    the alphabets ``inputs`` and ``outputs``, one per encoding, yielded one at
-    a time, so no list of them ever exists.
-
-    Equal parts are one object, as :class:`MachineRows` needs to render each
-    part's text once: every row holds the same ``inputs`` and ``outputs``
-    lists, and rows share one list per distinct transition row and one
-    ``lambda`` per distinct output tuple.  The completions of one table are
-    adjacent in the sorted encodings, so they share one ``delta`` and only
-    the current one is kept.
-    """
-    k = len(inputs)
-    inputs, outputs = list(inputs), list(outputs)
-    row_lists: dict[tuple[int, ...], list] = {}
-    lams: dict[tuple[int, ...], list] = {}
-    table = delta = None
-    for enc in encodings:
-        m = enc[0]
-        cut = 1 + m * k
-        flat = enc[1:cut]
-        if flat != table:
-            table, delta = flat, []
-            for start in range(0, m * k, k):
-                row = flat[start : start + k]
-                listed = row_lists.get(row)
-                if listed is None:
-                    listed = row_lists[row] = list(row)
-                delta.append(listed)
-        key = enc[cut:]
-        lam = lams.get(key)
-        if lam is None:
-            lam = lams[key] = [outputs[i] for i in key]
-        yield _machine_row(m, inputs, outputs, 0, delta, lam)
-
-
 def machine_from_dict(doc: dict, where: str = "machine") -> Machine:
     states = _require(doc, "states", where)
     inputs = _symbols(_require(doc, "inputs", where), f"{where}.inputs")
@@ -208,58 +173,56 @@ def _text(value, pad: str) -> str:
 
 
 class MachineRows:
-    """Documents in :func:`_machine_row`'s layout, such as :func:`encoding_rows`
-    yields, which :func:`write_report` renders as the array of them that
-    :meth:`texts` spells, consuming ``rows`` as it goes.
+    """The documents :func:`machine_to_dict` gives for the machines that
+    :func:`moorelimit.machines.consistent_encodings`'s ``encodings`` describe
+    over the alphabets ``inputs`` and ``outputs``, which :func:`write_report`
+    renders as the array of them that :meth:`texts` spells, reading
+    ``encodings`` once.
 
-    Each part of a row is spelled by :func:`json.dumps`, and its text cached by
-    the identity of its object: the head (``states`` to ``initial``) is built
-    again only when a value is not the last row's object, the ``delta`` text
-    once per list, and each transition row's and ``lambda``'s text once per
-    list, held till the rows run out so no other object takes its id.  So
-    equal parts should be one object, and no list may change meanwhile.
+    Each part of a document is spelled once by :func:`json.dumps` and its text
+    cached by value: the head (``states`` to ``initial``) of each state count,
+    each distinct transition row, and each distinct ``lambda`` with the
+    document's end.  A table's completions are adjacent in the sorted
+    encodings, so their documents are joined into one text per table.
     """
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, encodings, inputs, outputs):
+        self.encodings, self.inputs, self.outputs = encodings, list(inputs), list(outputs)
 
     def texts(self, pad: str) -> Iterator[str]:
-        """The array of the rows as :mod:`json` spells it on a line indented by
-        ``pad``, row by row, each row joined from cached texts of its fields."""
+        """The array of the documents as :mod:`json` spells it on a line indented
+        by ``pad``, one text per run of encodings that share a table."""
         inner, deeper = pad + "  ", pad + "    "
-        field = ",\n" + deeper
-        cells: dict[int, str] = {}  # id of a transition row -> its text
-        tails: dict[int, str] = {}  # id of a lambda -> the row's text from "lambda" on
-        held: list = []  # every list in cells and tails
-        states = inputs = outputs = initial = delta = unset = object()  # no row's value
+        field, sep = ",\n" + deeper, ",\n" + inner
+        k, outputs = len(self.inputs), self.outputs
+        names = (f'{field}"inputs": {_text(self.inputs, deeper)}{field}"outputs": {_text(outputs, deeper)}'
+                 f'{field}"initial": {_text(0, deeper)}{field}"delta": [\n{deeper}  ')
+        cells: dict[tuple, str] = {}  # transition row -> its text
+        tails: dict[tuple, str] = {}  # output indices -> the document's text from "lambda" on
+        states = head = None
         lead = "[\n" + inner
-        for row in self.rows:
-            if not (row["states"] is states and row["inputs"] is inputs
-                    and row["outputs"] is outputs and row["initial"] is initial):
-                states, inputs, outputs, initial = row["states"], row["inputs"], row["outputs"], row["initial"]
-                head = (
-                    f'{{\n{deeper}"states": {_text(states, deeper)}{field}"inputs": {_text(inputs, deeper)}'
-                    f'{field}"outputs": {_text(outputs, deeper)}{field}"initial": {_text(initial, deeper)}{field}"delta": '
-                )
-                delta = unset
-            if row["delta"] is not delta:
-                delta = row["delta"]
-                texts = []
-                for cell in delta:
-                    text = cells.get(id(cell))
-                    if text is None:
-                        text = cells[id(cell)] = _text(cell, deeper + "  ")
-                        held.append(cell)
-                    texts.append(text)
-                prefix = head + (f"[\n{deeper}  {(field + '  ').join(texts)}\n{deeper}]" if texts else "[]")
-            lam = row["lambda"]
-            tail = tails.get(id(lam))
-            if tail is None:
-                tail = tails[id(lam)] = f'{field}"lambda": {_text(lam, deeper)}\n{inner}}}'
-                held.append(lam)
-            yield lead + prefix + tail
-            lead = ",\n" + inner
-        yield "\n" + pad + "]" if lead[0] == "," else "[]"
+        for table, run in groupby(self.encodings, lambda enc: enc[: 1 + enc[0] * k]):
+            if table[0] != states:
+                states = table[0]
+                head = f'{{\n{deeper}"states": {_text(states, deeper)}{names}'
+            rows = []
+            for start in range(1, len(table), k):
+                row = table[start : start + k]
+                text = cells.get(row)
+                if text is None:
+                    text = cells[row] = _text(row, deeper + "  ")
+                rows.append(text)
+            prefix = f"{head}{(field + '  ').join(rows)}\n{deeper}]"
+            texts = []
+            for enc in run:
+                key = enc[len(table) :]
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = f'{field}"lambda": {_text([outputs[i] for i in key], deeper)}\n{inner}}}'
+                texts.append(tail)
+            yield lead + prefix + (sep + prefix).join(texts)
+            lead = sep
+        yield "\n" + pad + "]" if lead == sep else "[]"
 
 
 #: How many characters of text :func:`write_report` may hold before it passes them on.

@@ -472,68 +472,64 @@ def test_enumerate_report_bytes_equal_json_dumps_of_the_enumerated_machines(caps
         assert out_path.read_bytes() == expected.encode("utf-8"), doc
 
 
-def test_all_consistent_replay_rejects_a_corrupted_row(capsys):
-    trace = Trace((0, 1, 1, 0), ("x", "y", "x"))
-    argv = ["enumerate", GOLDEN_TRACE, "--max-states", "3"]
-    rows = run_report(capsys, argv)[1]["results"]["machines"]
-    assert rows and all(cli._row_reproduces(row, trace) for row in rows)
-    for row in rows:
-        relabelled = json.loads(json.dumps(row))
-        relabelled["lambda"][0] = 1 - relabelled["lambda"][0]
-        assert not cli._row_reproduces(relabelled, trace)
-        # send the first recorded step to a state whose output differs from the record's
-        wrong = next(s for s, out in enumerate(row["lambda"]) if out != trace.outputs[1])
-        redirected = json.loads(json.dumps(row))
-        redirected["delta"][0][row["inputs"].index("x")] = wrong
-        assert not cli._row_reproduces(redirected, trace)
+def corrupt_search(monkeypatch, corrupt):
+    """Make ``enumerate``'s search give ``corrupt(encodings)`` in place of its encodings."""
+    search = cli.consistent_encodings
+    monkeypatch.setattr(cli, "consistent_encodings", lambda trace, bound: corrupt(search(trace, bound)))
 
 
-def test_replay_reads_each_rows_own_inputs_order():
-    """Reversing a row's ``inputs`` describes the machine that reversing its
-    ``delta`` columns does, so both get one verdict; reversing both is the
-    machine the row started as."""
-    golden = os.path.dirname(GOLDEN_TRACE)
-    with open(os.path.join(golden, "trace_ab.json"), encoding="utf-8") as fh:
-        trace = trace_from_dict(json.load(fh))
-    with open(os.path.join(golden, "expected", "enumerate_ab.json"), encoding="utf-8") as fh:
-        rows = json.load(fh)["results"]["machines"]
-    assert len(rows) == 27
-    for row in rows:
-        names = json.loads(json.dumps(row))
-        names["inputs"].reverse()
-        columns = json.loads(json.dumps(row))
-        columns["delta"] = [cells[::-1] for cells in row["delta"]]
-        both = json.loads(json.dumps(columns))
-        both["inputs"].reverse()
-        assert cli._row_reproduces(names, trace) == cli._row_reproduces(columns, trace), row
-        assert cli._row_reproduces(both, trace), row
+def replaced(encodings, i, enc):
+    return [*encodings[:i], enc, *encodings[i + 1 :]]
 
 
-def test_all_consistent_replays_the_rows_as_written(capsys, monkeypatch):
-    """The replay reads each row the report renders, so a row corrupted between
-    the search and the writing fails the check and the exit code."""
-    rows = cli.encoding_rows
+def lambda_flipped(enc, k=2):
+    """``enc`` with each state's output index over the outputs 0, 1 flipped."""
+    cut = 1 + enc[0] * k
+    return enc[:cut] + tuple(1 - out for out in enc[cut:])
 
-    def one_row_flipped(*args):
-        for i, row in enumerate(rows(*args)):
-            yield {**row, "lambda": [1 - out for out in row["lambda"]]} if i == 1 else row
 
-    monkeypatch.setattr(cli, "encoding_rows", one_row_flipped)
+def redirected(enc, k=2):
+    """``enc`` with its first transition, under input 0, sent to a state whose
+    output index differs from that of the state it went to."""
+    cut = 1 + enc[0] * k
+    return (enc[0], next(s for s, out in enumerate(enc[cut:]) if out != enc[cut + enc[1]]), *enc[2:])
+
+
+def test_all_consistent_replay_rejects_a_corrupted_row(capsys, monkeypatch):
+    # the golden trace records outputs 0, 1, 1, 0 on inputs x, y, x; x is input 0 of 2
+    encodings = consistent_encodings(Trace((0, 1, 1, 0), ("x", "y", "x")), 3)
+    argv = ["enumerate", GOLDEN_TRACE, "--max-states", "3", "--format", "table"]
+    assert len(encodings) == 59 and cli.main(argv) == 0
+    for i, enc in enumerate(encodings):
+        for corrupted in (lambda_flipped(enc), redirected(enc)):
+            monkeypatch.setattr(cli, "consistent_encodings", lambda *_: replaced(encodings, i, corrupted))
+            assert cli.main(argv) == 1, (enc, corrupted)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("corrupt", [lambda_flipped, redirected])
+def test_all_consistent_replays_the_rows_as_written(capsys, monkeypatch, corrupt):
+    """The replay reads each encoding the report renders, so one corrupted
+    between the search and the writing fails the check and the exit code."""
+    corrupt_search(monkeypatch, lambda encodings: replaced(encodings, 1, corrupt(encodings[1])))
     argv = ["enumerate", GOLDEN_TRACE, "--max-states", "3"]
     code, report = run_report(capsys, argv)
     assert code == 1
     assert report["checks"] == {"counts_nondecreasing": True, "all_consistent": False, "all_within_bound": True}
     with open(os.path.join(os.path.dirname(GOLDEN_TRACE), "expected", "enumerate.json"), encoding="utf-8") as fh:
         written = json.load(fh)["results"]["machines"]
-    written[1]["lambda"] = [1 - out for out in written[1]["lambda"]]
+    row = written[1]
+    enc = (row["states"], *[t for cells in row["delta"] for t in cells], *row["lambda"])  # outputs 0, 1 are indices
+    row["delta"] = [list(corrupt(enc)[1 + 2 * s : 3 + 2 * s]) for s in range(row["states"])]
+    row["lambda"] = list(corrupt(enc)[1 + 2 * row["states"] :])
     assert report["results"]["machines"] == written
     assert cli.main([*argv, "--format", "table"]) == 1
     assert capsys.readouterr().out == "max_states,count\n1,0\n2,2\n3,59\n"
 
 
 def test_enumerate_table_builds_no_row_text(capsys, monkeypatch):
-    """``--format table`` replays every row for the checks but renders none,
-    so its bytes and exit codes hold with the row-text builder broken."""
+    """``--format table`` replays every encoding for the checks but renders no
+    row, so its bytes and exit codes hold with the row-text builder broken."""
 
     def broken(self, pad):
         raise AssertionError("a table renders no machine row")
@@ -544,13 +540,7 @@ def test_enumerate_table_builds_no_row_text(capsys, monkeypatch):
         expected = fh.read()
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
-    rows = cli.encoding_rows
-
-    def one_row_flipped(*args):
-        for i, row in enumerate(rows(*args)):
-            yield {**row, "lambda": [1 - out for out in row["lambda"]]} if i == 1 else row
-
-    monkeypatch.setattr(cli, "encoding_rows", one_row_flipped)
+    corrupt_search(monkeypatch, lambda encodings: replaced(encodings, 1, lambda_flipped(encodings[1])))
     assert cli.main(argv) == 1
     assert capsys.readouterr().out == expected
 

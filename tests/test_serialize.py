@@ -1,4 +1,5 @@
 import json
+import random
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moorelimit import cli
-from moorelimit.machines import Machine, Trace, consistent_encodings
+from moorelimit.machines import Machine, Trace, consistent_encodings, enumerate_consistent
 from moorelimit.observer import ObserverModel
 from moorelimit.quantum import Povm, basis_povm
 from moorelimit.demos import (
@@ -22,7 +23,6 @@ from moorelimit.serialize import (
     MachineRows,
     ParseError,
     dumps_report,
-    encoding_rows,
     load_json,
     machine_from_dict,
     machine_to_dict,
@@ -370,18 +370,31 @@ def test_write_atomic_replaces_and_leaves_no_temp(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
+WIDE = Trace((0, 1, 0), ("a", "b"))  # the two-input x,y,x trace, whose 6998 machines fill about 3.5 MB at N=4
+
+
 def wide_rows():
-    """The 6998 machine rows of the two-input x,y,x trace at N=4, as ``enumerate`` yields them."""
-    trace = Trace((0, 1, 0), ("a", "b"))
-    outputs, inputs = trace.alphabets
-    return encoding_rows(consistent_encodings(trace, 4), inputs, outputs)
+    """The documents of the 6998 machines of the x,y,x trace at N=4, as ``enumerate`` reports them."""
+    return [machine_to_dict(m) for m in enumerate_consistent(WIDE, 4)]
+
+
+def documents(encodings, inputs, outputs) -> list:
+    """The machine documents that search ``encodings`` describe over the alphabets
+    ``inputs`` and ``outputs``, built field by field."""
+    k = len(inputs)
+    return [
+        {"states": e[0], "inputs": list(inputs), "outputs": list(outputs), "initial": 0,
+         "delta": [list(e[1 + s * k : 1 + (s + 1) * k]) for s in range(e[0])],
+         "lambda": [outputs[i] for i in e[1 + e[0] * k :]]}
+        for e in encodings
+    ]
 
 
 CHUNK_BOUND = 256 * 1024  # characters; the whole report below is about 3.5 MB
 
 
 def test_write_report_streams_in_bounded_chunks():
-    doc = {"command": "enumerate", "results": {"count": 6998, "machines": list(wide_rows())}, "checks": {"ok": True}}
+    doc = {"command": "enumerate", "results": {"count": 6998, "machines": wide_rows()}, "checks": {"ok": True}}
     assert len(doc["results"]["machines"]) == 6998
     chunks = []
     write_report(doc, chunks.append)
@@ -393,7 +406,7 @@ def test_write_report_streams_in_bounded_chunks():
 
 
 def test_write_atomic_keeps_the_old_target_when_rendering_fails(tmp_path):
-    rows = list(wide_rows())
+    rows = wide_rows()
     rows.append({"states": object()})  # the last row holds a value json refuses
     target = tmp_path / "report.json"
     target.write_bytes(b"old bytes\n")
@@ -413,35 +426,56 @@ def test_write_atomic_keeps_the_old_target_when_rendering_fails(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
-def test_machine_rows_render_freshly_built_lists_as_json_does():
-    # a row's lists are freed once it is rendered unless the row renderer
-    # holds them, so a cache keyed by id alone would find a later list under
-    # an old id
-    def rows():
-        for i in range(60):
-            yield {"states": 1 + i % 3, "inputs": ["a", i], "outputs": [i, '"ö"'], "initial": 0,
-                   "delta": [[i % 2, 0]] * (1 + i % 3), "lambda": [i, -i, None][: 1 + i % 3]}
+def test_machine_rows_of_the_wide_search_are_the_documents_of_its_machines():
+    outputs, inputs = WIDE.alphabets
+    encodings = consistent_encodings(WIDE, 4)
+    assert documents(encodings, inputs, outputs) == wide_rows()
+    doc = {"machines": MachineRows(iter(encodings), inputs, outputs), "after": 1}
+    assert dumps_report(doc) == reference_dumps({"machines": wide_rows(), "after": 1})
 
-    doc = {"machines": MachineRows(rows()), "none": MachineRows(iter(())), "after": [1]}
-    assert dumps_report(doc) == reference_dumps({"machines": list(rows()), "none": [], "after": [1]})
+
+# alphabets whose symbols json must escape or spell at length: (inputs, outputs)
+ESCAPED = [(("\\", " "), ('"', "\n", "ö")), (("ä", "\t", -5), ("✓ \u2028", 10**30)), ((2**70,), ('a"b', -7, "\x00"))]
+
+
+def random_encodings(rng, inputs, outputs, count) -> list:
+    """``count`` encodings of 1-3 states, in no order, so tables repeat apart."""
+    encodings = []
+    for _ in range(count):
+        m = rng.randint(1, 3)
+        encodings.append((m, *(rng.randrange(m) for _ in range(m * len(inputs))),
+                          *(rng.randrange(len(outputs)) for _ in range(m))))
+    return encodings
+
+
+def test_machine_rows_render_encodings_in_any_order_as_json_does():
+    # a text cached by value serves a repeated table or lambda however far apart
+    rng = random.Random(1956)
+    for inputs, outputs in ESCAPED:
+        encodings = random_encodings(rng, inputs, outputs, 60)
+        encodings += encodings[:5]
+        doc = {"machines": MachineRows(iter(encodings), inputs, outputs), "none": MachineRows(iter(()), inputs, outputs),
+               "after": [1]}
+        expected = {"machines": documents(encodings, inputs, outputs), "none": [], "after": [1]}
+        assert dumps_report(doc) == reference_dumps(expected)
+
+
+def small_rows(inputs, outputs):
+    """A :class:`MachineRows` over three completions of one two-state table,
+    adjacent as the search gives them, and their documents."""
+    table = (2, *[1] * len(inputs), *[0] * len(inputs))
+    encodings = [table + lam for lam in ((0, 1), (1, 0), (1, 1))]
+    return MachineRows(iter(encodings), inputs, outputs), documents(encodings, inputs, outputs)
 
 
 def test_dumps_report_renders_machine_rows_nested_in_a_dict_in_a_list():
-    shared = ["a", 1]
-
-    def rows():
-        for j in range(3):
-            yield {"states": 2, "inputs": shared, "outputs": [0, "x"], "initial": 0,
-                   "delta": [[j % 2, 0], [1, 1]], "lambda": [j, "x"]}
-
-    def doc(wrap):
-        return [{"rows": wrap(rows()), "n": 3}, shared]
-
-    assert dumps_report(doc(MachineRows)) == reference_dumps(doc(list))
+    for inputs, outputs in ESCAPED:
+        rows, docs = small_rows(inputs, outputs)
+        assert dumps_report([{"rows": rows, "n": 3}, docs[0]]) == reference_dumps([{"rows": docs, "n": 3}, docs[0]])
 
 
 def test_enumerate_streams_its_machine_rows_in_bounded_chunks(tmp_path, monkeypatch):
-    """``enumerate`` renders its rows as whole-row texts; the chunks it writes
+    """``enumerate`` renders its rows as whole-table texts; the chunks it writes
     stay bounded in characters, however few parts they hold."""
     path = tmp_path / "xyx.json"
     path.write_text(json.dumps({"steps": [{"output": 0}, {"output": 1, "input": "a"}, {"output": 0, "input": "b"}],
@@ -460,16 +494,14 @@ def test_enumerate_streams_its_machine_rows_in_bounded_chunks(tmp_path, monkeypa
     assert len(chunks) > 1
     assert max(len(chunk) for chunk in chunks) < CHUNK_BOUND
     report = json.loads("".join(chunks))
-    report["results"]["machines"] = list(wide_rows())
+    report["results"]["machines"] = wide_rows()
     assert "".join(chunks) == reference_dumps(report)
 
 
 def test_write_atomic_keeps_the_old_target_when_machine_rows_hold_a_refused_value(tmp_path):
-    def rows():
-        for row in wide_rows():
-            yield row
-        yield {**row, "lambda": [object()]}
-
+    outputs, inputs = WIDE.alphabets
+    encodings = consistent_encodings(WIDE, 4)
+    encodings.append((1, object(), 0, 0))  # the last table holds a value json refuses
     target = tmp_path / "report.json"
     target.write_bytes(b"old bytes\n")
     written = []
@@ -479,48 +511,42 @@ def test_write_atomic_keeps_the_old_target_when_machine_rows_hold_a_refused_valu
             written.append(len(chunk))
             return write(chunk)
 
-        write_report({"machines": MachineRows(rows())}, counted)
+        write_report({"machines": MachineRows(iter(encodings), inputs, outputs)}, counted)
 
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="not JSON serializable"):
         write_atomic(target, produce)
     assert written  # chunks reached the temp file before the render failed
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
-def small_rows(tag):
-    """A few machine rows whose parts are shared, as :func:`encoding_rows` shares them."""
-    inputs, outputs = ["a", tag], [0, "x"]
-    for j in range(3):
-        yield {"states": 2, "inputs": inputs, "outputs": outputs, "initial": 0,
-               "delta": [[j % 2, 0], [1, 1]], "lambda": [j, "x"]}
-
-
 def test_machine_rows_after_a_string_item_of_a_list():
-    def doc(wrap):
-        return ["line\n", wrap(small_rows("s")), "after", wrap(small_rows("t"))]
-
-    assert dumps_report(doc(MachineRows)) == reference_dumps(doc(list))
+    (rows_s, docs_s), (rows_t, docs_t) = small_rows(*ESCAPED[0]), small_rows(*ESCAPED[1])
+    assert dumps_report(["line\n", rows_s, "after", rows_t]) == reference_dumps(["line\n", docs_s, "after", docs_t])
 
 
 def test_machine_rows_at_depth_four():
-    def doc(wrap):
-        return {"a": [{"b": {"c": [1, wrap(small_rows("d"))], "e": wrap(iter(()))}}], "f": {"g": wrap(small_rows("h"))}}
+    def doc(d, e, h):
+        return {"a": [{"b": {"c": [1, d], "e": e}}], "f": {"g": h}}
 
-    assert dumps_report(doc(MachineRows)) == reference_dumps(doc(list))
+    (rows_d, docs_d), (rows_h, docs_h) = small_rows(*ESCAPED[1]), small_rows(*ESCAPED[2])
+    empty = MachineRows(iter(()), *ESCAPED[0])
+    assert dumps_report(doc(rows_d, empty, rows_h)) == reference_dumps(doc(docs_d, [], docs_h))
 
 
 def test_a_value_set_once_the_rows_run_out_renders_with_its_final_value():
     checks = {"all_rows_seen": False, "rows": 0}
+    inputs, outputs = ESCAPED[0]
+    _, docs = small_rows(inputs, outputs)
 
-    def rows():
-        for row in small_rows("z"):
+    def encodings():
+        for enc in small_rows(inputs, outputs)[0].encodings:
             checks["rows"] += 1
-            yield row
+            yield enc
         checks["all_rows_seen"] = True
 
-    text = dumps_report({"machines": MachineRows(rows()), "checks": checks})
-    assert text == reference_dumps({"machines": list(small_rows("z")), "checks": {"all_rows_seen": True, "rows": 3}})
+    text = dumps_report({"machines": MachineRows(encodings(), inputs, outputs), "checks": checks})
+    assert text == reference_dumps({"machines": docs, "checks": {"all_rows_seen": True, "rows": 3}})
 
 
 def test_a_circular_document_raises_what_json_raises():
