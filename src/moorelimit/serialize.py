@@ -179,11 +179,12 @@ class MachineRows:
     renders as the array of them that :meth:`texts` spells, reading
     ``encodings`` once.
 
-    Each part of a document is spelled once by :func:`json.dumps` and its text
-    cached by value: the head (``states`` to ``initial``) of each state count,
-    each distinct transition row, and each distinct ``lambda`` with the
-    document's end.  A table's completions are adjacent in the sorted
-    encodings, so their documents are joined into one text per table.
+    Each part of a document is spelled by :func:`json.dumps` and its text
+    cached by value: each distinct transition row, and each distinct
+    ``lambda`` with the document's end, once; the head (``states`` to the
+    start of ``delta``) again only when the state count changes, which the
+    sorted encodings do once per count.  A table's completions are adjacent
+    in them, so their documents are joined into one text per table.
     """
 
     def __init__(self, encodings, inputs, outputs):
@@ -195,8 +196,9 @@ class MachineRows:
         inner, deeper = pad + "  ", pad + "    "
         field, sep = ",\n" + deeper, ",\n" + inner
         k, outputs = len(self.inputs), self.outputs
-        names = (f'{field}"inputs": {_text(self.inputs, deeper)}{field}"outputs": {_text(outputs, deeper)}'
-                 f'{field}"initial": {_text(0, deeper)}{field}"delta": [\n{deeper}  ')
+        # from "inputs" to the first transition row: the same in every document
+        shared = (f'{field}"inputs": {_text(self.inputs, deeper)}{field}"outputs": {_text(outputs, deeper)}'
+                  f'{field}"initial": {_text(0, deeper)}{field}"delta": [\n{deeper}  ')
         cells: dict[tuple, str] = {}  # transition row -> its text
         tails: dict[tuple, str] = {}  # output indices -> the document's text from "lambda" on
         states = head = None
@@ -204,7 +206,7 @@ class MachineRows:
         for table, run in groupby(self.encodings, lambda enc: enc[: 1 + enc[0] * k]):
             if table[0] != states:
                 states = table[0]
-                head = f'{{\n{deeper}"states": {_text(states, deeper)}{names}'
+                head = f'{{\n{deeper}"states": {_text(states, deeper)}{shared}'
             rows = []
             for start in range(1, len(table), k):
                 row = table[start : start + k]
@@ -213,14 +215,14 @@ class MachineRows:
                     text = cells[row] = _text(row, deeper + "  ")
                 rows.append(text)
             prefix = f"{head}{(field + '  ').join(rows)}\n{deeper}]"
-            texts = []
+            ends = []
             for enc in run:
                 key = enc[len(table) :]
                 tail = tails.get(key)
                 if tail is None:
                     tail = tails[key] = f'{field}"lambda": {_text([outputs[i] for i in key], deeper)}\n{inner}}}'
-                texts.append(tail)
-            yield lead + prefix + (sep + prefix).join(texts)
+                ends.append(tail)
+            yield lead + prefix + (sep + prefix).join(ends)
             lead = sep
         yield "\n" + pad + "]" if lead == sep else "[]"
 
