@@ -221,7 +221,11 @@ def cmd_enumerate(args) -> int:
     limit = sys.maxsize // k  # beyond it, the search's flat table could not be indexed
     if bound > limit:
         raise ValueError(f"argument --max-states: must be <= {limit} over {k} inputs, got {bound}")
-    encodings = consistent_encodings(trace, bound)  # sorted, so by state count first
+    try:
+        encodings = consistent_encodings(trace, bound)  # sorted, so by state count first
+    except RecursionError:  # the search recurses once per table slot
+        raise ValueError(f"argument --max-states: {bound} needs a search deeper than the "
+                         f"interpreter's recursion limit of {sys.getrecursionlimit()}") from None
     tally = [bisect_left(encodings, (n + 1,)) for n in range(1, bound + 1)]
     checks = {
         "counts_nondecreasing": all(x <= y for x, y in zip(tally, tally[1:])),
@@ -233,21 +237,20 @@ def cmd_enumerate(args) -> int:
     recorded = recorded if len(recorded) > 1 else recorded[0]  # what itemgetter gives for one index
 
     def checked():
-        """Each encoding, replayed on the trace's indices as it is yielded, so the
-        encodings checked are the encodings written.  The walk over the recorded
-        inputs finds the states a table visits; each of its completions then
-        has its outputs at those states read at once."""
+        """Each encoding ``(m, delta, lam)``, replayed on the trace's indices as it
+        is yielded, so the encodings checked are the encodings written.  The walk
+        over the recorded inputs finds the states a ``delta`` visits; each
+        completion then has its ``lam`` at those states read at once."""
         replayed = within = True
-        table = None
+        delta = None
         for enc in encodings:
-            cut = 1 + enc[0] * k
-            if enc[:cut] != table:
-                table, state, visited = enc[:cut], 0, [cut]
+            if enc[1] is not delta:  # the search shares one delta per table; any other object is walked anew
+                delta, state, visited = enc[1], 0, [0]
                 for i in steps:
-                    state = table[1 + state * k + i]
-                    visited.append(cut + state)
+                    state = delta[state * k + i]
+                    visited.append(state)
                 emitted = itemgetter(*visited)
-            replayed = replayed and emitted(enc) == recorded
+            replayed = replayed and emitted(enc[2]) == recorded
             within = within and enc[0] <= bound
             yield enc
         checks["all_consistent"] = replayed

@@ -2,9 +2,12 @@
 
 Everything here works on integer-indexed alphabets: inputs are indices into
 the input alphabet, outputs indices into the output alphabet.  A machine with
-``n`` states is encoded as the tuple ``(n, *delta, *lam)``: ``delta`` is the
-flat transition table (``delta[s * n_inputs + i]`` is the successor of state
-``s`` under input ``i``) and ``lam`` the output of each state.
+``n`` states is encoded as the triple ``(n, delta, lam)``: ``delta`` is the
+flat transition table as a tuple (``delta[s * n_inputs + i]`` is the successor
+of state ``s`` under input ``i``) and ``lam`` the tuple of each state's output.
+The search shares these tuples: every kept completion of one table holds the
+same ``delta`` object, and the completions of every table with the same
+forced outputs draw their ``lam`` from one list of tuples.
 
 The search generates transition tables that are already in canonical form:
 every state is reachable from state 0 and the states are numbered in the
@@ -57,7 +60,7 @@ def consistent_machine_encodings(
     n_outputs: int,
     trace_inputs: tuple[int, ...],
     trace_outputs: tuple[int, ...],
-) -> list[tuple[int, ...]]:
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
     """Encodings of all distinct behaviors with <= n_states states matching the trace.
 
     The flat table is filled one slot at a time in (state, input) order.  A
@@ -67,7 +70,9 @@ def consistent_machine_encodings(
     as far as the filled slots allow, and a state forced to two different
     outputs prunes the whole subtree.  States the trace never visits take
     every output.  A complete candidate is kept iff :func:`refine` leaves
-    every state in its own block.  The result is sorted by encoding.
+    every state in its own block.  The ``lam`` of each pattern of forced
+    outputs are built once per search.  The result is sorted; equal ``n``
+    means equal ``len(delta)``, so it sorts as ``(n, *delta, *lam)`` would.
     """
     if min(n_states, n_inputs, n_outputs) < 1:
         raise ValueError("state and alphabet sizes must be >= 1")
@@ -80,19 +85,22 @@ def consistent_machine_encodings(
     forced[0] = trace_outputs[0]
     # Depth-first search in increasing target order yields each size's
     # tables in lexicographic order, so one list per size is already sorted.
-    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(n_states + 1)]
+    by_size: list[list[tuple]] = [[] for _ in range(n_states + 1)]
+    completions: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # forced outputs -> every lam, in order
 
     def complete(n: int) -> None:
         flat = tuple(delta[: n * k])
         columns = [flat[i::k] for i in range(k)]
-        lam = forced[:n]
-        free = [s for s in range(n) if lam[s] < 0]
-        for outputs in itertools.product(range(n_outputs), repeat=len(free)):
-            for s, v in zip(free, outputs):
-                lam[s] = v
+        pattern = tuple(forced[:n])
+        candidates = completions.get(pattern)
+        if candidates is None:
+            choices = [range(n_outputs) if v < 0 else (v,) for v in pattern]
+            candidates = completions[pattern] = list(itertools.product(*choices))
+        kept = by_size[n]
+        for lam in candidates:
             # blocks are numbered by first state: the last is n - 1 iff all are alone
             if refine(columns, lam)[-1] == n - 1:
-                by_size[n].append((n, *flat, *lam))
+                kept.append((n, flat, lam))
 
     def fill(slot: int, n: int, pos: int, state: int) -> None:
         # ``pos`` trace steps are replayed and end in ``state``; ``n`` states
@@ -122,5 +130,8 @@ def consistent_machine_encodings(
         for s in newly_forced:
             forced[s] = -1
 
-    fill(0, 1, 0, 0)
+    try:
+        fill(0, 1, 0, 0)
+    finally:
+        del fill  # it refers to itself, so the search's state would wait for the cycle collector
     return [enc for bucket in by_size for enc in bucket]

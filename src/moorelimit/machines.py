@@ -398,13 +398,15 @@ def witness_moore(trace: Trace) -> tuple[Machine, Machine, Experiment]:
     return machine_a, machine_b, Experiment((trace.inputs + inputs[:1],))
 
 
-def consistent_encodings(trace: Trace, max_states: int) -> list[tuple[int, ...]]:
+def consistent_encodings(trace: Trace, max_states: int) -> list[tuple]:
     """The sorted canonical encodings of every behavior :func:`enumerate_consistent`
     reports, over the trace's resolved ``alphabets``.
 
-    An encoding is ``(m, *delta, *lam)``: the state count, the ``m`` rows of
-    the transition table flattened in input-alphabet order, and each state's
-    output as an index into the output alphabet; the initial state is 0.
+    An encoding is ``(m, delta, lam)``: the state count, the tuple of the ``m``
+    rows of the transition table flattened in input-alphabet order, and the
+    tuple of each state's output as an index into the output alphabet; the
+    initial state is 0.  Adjacent encodings of one table share its ``delta``
+    object, and ``lam`` objects are shared as :mod:`moorelimit.kernels` says.
     """
     outputs, inputs = trace.alphabets
     out_index = {sym: i for i, sym in enumerate(outputs)}
@@ -433,16 +435,13 @@ def enumerate_consistent(trace: Trace, max_states: int) -> list[Machine]:
     outputs, inputs = trace.alphabets
     k = len(inputs)
     machines = []
-    for enc in encodings:
-        m = enc[0]
-        flat = enc[1 : 1 + m * k]
-        lam = enc[1 + m * k :]
+    for m, delta, lam in encodings:
         machines.append(
             Machine(
                 state_count=m,
                 input_alphabet=inputs,
                 output_alphabet=outputs,
-                transition=tuple(tuple(flat[s * k : (s + 1) * k]) for s in range(m)),
+                transition=tuple(delta[s * k : (s + 1) * k] for s in range(m)),
                 output=tuple(outputs[i] for i in lam),
                 initial=0,
             )

@@ -20,6 +20,7 @@ import os
 import tempfile
 from collections.abc import Iterator
 from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 from .machines import Machine, Trace, _quoted
@@ -174,17 +175,18 @@ def _text(value, pad: str) -> str:
 
 class MachineRows:
     """The documents :func:`machine_to_dict` gives for the machines that
-    :func:`moorelimit.machines.consistent_encodings`'s ``encodings`` describe
-    over the alphabets ``inputs`` and ``outputs``, which :func:`write_report`
-    renders as the array of them that :meth:`texts` spells, reading
-    ``encodings`` once.
+    :func:`moorelimit.machines.consistent_encodings`'s ``encodings``, each
+    ``(m, delta, lam)``, describe over the alphabets ``inputs`` and
+    ``outputs``, which :func:`write_report` renders as the array of them that
+    :meth:`texts` spells, reading ``encodings`` once.
 
     Each part of a document is spelled by :func:`json.dumps` and its text
-    cached by value: each distinct transition row, and each distinct
-    ``lambda`` with the document's end, once; the head (``states`` to the
-    start of ``delta``) again only when the state count changes, which the
-    sorted encodings do once per count.  A table's completions are adjacent
-    in them, so their documents are joined into one text per table.
+    cached by value: each distinct transition row, and each distinct ``lam``
+    with the document's end, once.  The opening (``states`` to the last
+    transition row) is joined again only when ``m`` or a row but the last
+    changes; the sorted tables mostly differ in their last row.  A table's
+    completions are adjacent in them, so their documents are joined into one
+    text per ``(m, delta)``.
     """
 
     def __init__(self, encodings, inputs, outputs):
@@ -201,27 +203,23 @@ class MachineRows:
                   f'{field}"initial": {_text(0, deeper)}{field}"delta": [\n{deeper}  ')
         cells: dict[tuple, str] = {}  # transition row -> its text
         tails: dict[tuple, str] = {}  # output indices -> the document's text from "lambda" on
-        states = head = None
+
+        def cell(row: tuple) -> str:
+            return cells.get(row) or cells.setdefault(row, _text(row, deeper + "  "))
+
+        def tail(lam: tuple) -> str:
+            return f'{field}"lambda": {_text([outputs[i] for i in lam], deeper)}\n{inner}}}'
+
+        opened = opening = None  # (m, every row of delta but the last), and its text
         lead = "[\n" + inner
-        for table, run in groupby(self.encodings, lambda enc: enc[: 1 + enc[0] * k]):
-            if table[0] != states:
-                states = table[0]
-                head = f'{{\n{deeper}"states": {_text(states, deeper)}{shared}'
-            rows = []
-            for start in range(1, len(table), k):
-                row = table[start : start + k]
-                text = cells.get(row)
-                if text is None:
-                    text = cells[row] = _text(row, deeper + "  ")
-                rows.append(text)
-            prefix = f"{head}{(field + '  ').join(rows)}\n{deeper}]"
-            ends = []
-            for enc in run:
-                key = enc[len(table) :]
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = f'{field}"lambda": {_text([outputs[i] for i in key], deeper)}\n{inner}}}'
-                ends.append(tail)
+        for (states, delta), run in groupby(self.encodings, itemgetter(0, 1)):
+            last = len(delta) - k
+            if (states, delta[:last]) != opened:
+                opened = states, delta[:last]
+                opening = "".join([f'{{\n{deeper}"states": {_text(states, deeper)}{shared}',
+                                   *[cell(delta[s : s + k]) + field + "  " for s in range(0, last, k)]])
+            prefix = f"{opening}{cell(delta[last:])}\n{deeper}]"
+            ends = [tails.get(lam) or tails.setdefault(lam, tail(lam)) for _, _, lam in run]
             yield lead + prefix + (sep + prefix).join(ends)
             lead = sep
         yield "\n" + pad + "]" if lead == sep else "[]"

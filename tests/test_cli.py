@@ -482,17 +482,18 @@ def replaced(encodings, i, enc):
     return [*encodings[:i], enc, *encodings[i + 1 :]]
 
 
-def lambda_flipped(enc, k=2):
-    """``enc`` with each state's output index over the outputs 0, 1 flipped."""
-    cut = 1 + enc[0] * k
-    return enc[:cut] + tuple(1 - out for out in enc[cut:])
+def lambda_flipped(enc):
+    """``enc`` with each state's output index over the outputs 0, 1 flipped; its
+    ``delta`` is the object the search shares."""
+    m, delta, lam = enc
+    return m, delta, tuple(1 - out for out in lam)
 
 
-def redirected(enc, k=2):
+def redirected(enc):
     """``enc`` with its first transition, under input 0, sent to a state whose
-    output index differs from that of the state it went to."""
-    cut = 1 + enc[0] * k
-    return (enc[0], next(s for s, out in enumerate(enc[cut:]) if out != enc[cut + enc[1]]), *enc[2:])
+    output index differs from that of the state it went to, in a new ``delta``."""
+    m, delta, lam = enc
+    return m, (next(s for s, out in enumerate(lam) if out != lam[delta[0]]), *delta[1:]), lam
 
 
 def test_all_consistent_replay_rejects_a_corrupted_row(capsys, monkeypatch):
@@ -519,9 +520,10 @@ def test_all_consistent_replays_the_rows_as_written(capsys, monkeypatch, corrupt
     with open(os.path.join(os.path.dirname(GOLDEN_TRACE), "expected", "enumerate.json"), encoding="utf-8") as fh:
         written = json.load(fh)["results"]["machines"]
     row = written[1]
-    enc = (row["states"], *[t for cells in row["delta"] for t in cells], *row["lambda"])  # outputs 0, 1 are indices
-    row["delta"] = [list(corrupt(enc)[1 + 2 * s : 3 + 2 * s]) for s in range(row["states"])]
-    row["lambda"] = list(corrupt(enc)[1 + 2 * row["states"] :])
+    enc = (row["states"], tuple(t for cells in row["delta"] for t in cells), tuple(row["lambda"]))  # outputs 0, 1 are indices
+    m, delta, lam = corrupt(enc)
+    row["delta"] = [list(delta[2 * s : 2 * s + 2]) for s in range(m)]
+    row["lambda"] = list(lam)
     assert report["results"]["machines"] == written
     assert cli.main([*argv, "--format", "table"]) == 1
     assert capsys.readouterr().out == "max_states,count\n1,0\n2,2\n3,59\n"
@@ -543,6 +545,28 @@ def test_enumerate_table_builds_no_row_text(capsys, monkeypatch):
     corrupt_search(monkeypatch, lambda encodings: replaced(encodings, 1, lambda_flipped(encodings[1])))
     assert cli.main(argv) == 1
     assert capsys.readouterr().out == expected
+
+
+def test_enumerate_deeper_than_the_recursion_limit_exits_2(capsys, tmp_path):
+    """A search that would recurse past the interpreter's limit is refused as
+    bad input, with one ``error:`` line and nothing written."""
+    path = write_json(tmp_path / "chain.json", {"steps": [{"output": 0}] * 119 + [{"output": 1}]})
+    out = tmp_path / "report.json"
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 80)  # the search recurses once per table slot: 120 here
+    try:
+        for extra in ([], ["--out", str(out)]):
+            assert cli.main(["enumerate", path, "--max-states", "120", *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: argument --max-states: 120 needs a search deeper")
+            assert captured.err.count("\n") == 1 and f"recursion limit of {depth + 80}" in captured.err
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not out.exists() and [p.name for p in tmp_path.iterdir()] == ["chain.json"]
 
 
 XYX = {"steps": [{"output": 0}, {"output": 1, "input": "a"}, {"output": 0, "input": "b"}], "input_alphabet": ["a", "b"]}

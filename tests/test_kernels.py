@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,11 +23,45 @@ def test_known_counts_python_backend():
 
 def test_encoding_shape():
     encodings = kernels.consistent_machine_encodings(2, 1, 2, (0,), (0, 1))
-    for enc in encodings:
-        m = enc[0]
-        assert len(enc) == 1 + m * 1 + m  # header + flattened delta + outputs
-        assert all(0 <= t < m for t in enc[1 : 1 + m])
-        assert all(0 <= o < 2 for o in enc[1 + m :])
+    for m, delta, lam in encodings:  # the state count, the flattened delta and the outputs
+        assert type(delta) is tuple and len(delta) == m * 1
+        assert type(lam) is tuple and len(lam) == m
+        assert all(0 <= t < m for t in delta)
+        assert all(0 <= o < 2 for o in lam)
+
+
+def test_encodings_share_tables_and_output_vectors():
+    # the x,y,x trace at N=4: 6998 machines of 3482 tables; 6 patterns of forced outputs give 12 output vectors
+    encodings = kernels.consistent_machine_encodings(4, 2, 2, (0, 1), (0, 1, 0))
+    assert len(encodings) == 6998
+    for a, b in zip(encodings, encodings[1:]):
+        assert (a[1] is b[1]) == (a[1] == b[1])  # adjacent completions of one table hold one delta
+    assert len({id(delta) for _, delta, _ in encodings}) == len({delta for _, delta, _ in encodings}) == 3482
+    assert len({id(lam) for _, _, lam in encodings}) == 12  # each built once, though only 7 values differ
+
+
+def test_search_peak_memory_holds_shared_tuples():
+    # trace 0,1 at N=10: 2215 behaviors, about 480 kB of peak when each was one flat tuple of its own
+    gc.collect()
+    tracemalloc.start()
+    try:
+        encodings = kernels.consistent_machine_encodings(10, 1, 2, (0,), (0, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(encodings) == 2215
+    assert peak < 360 * 1024
+
+
+def test_search_leaves_no_cycle_behind():
+    """Its table, forced outputs and completions are freed on return, not at the next collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        kernels.consistent_machine_encodings(3, 1, 2, (0,), (0, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_counts_match_oracle_on_random_instances():

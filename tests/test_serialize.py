@@ -383,10 +383,10 @@ def documents(encodings, inputs, outputs) -> list:
     ``inputs`` and ``outputs``, built field by field."""
     k = len(inputs)
     return [
-        {"states": e[0], "inputs": list(inputs), "outputs": list(outputs), "initial": 0,
-         "delta": [list(e[1 + s * k : 1 + (s + 1) * k]) for s in range(e[0])],
-         "lambda": [outputs[i] for i in e[1 + e[0] * k :]]}
-        for e in encodings
+        {"states": m, "inputs": list(inputs), "outputs": list(outputs), "initial": 0,
+         "delta": [list(delta[s * k : (s + 1) * k]) for s in range(m)],
+         "lambda": [outputs[i] for i in lam]}
+        for m, delta, lam in encodings
     ]
 
 
@@ -439,12 +439,13 @@ ESCAPED = [(("\\", " "), ('"', "\n", "ö")), (("ä", "\t", -5), ("✓ \u2028", 1
 
 
 def random_encodings(rng, inputs, outputs, count) -> list:
-    """``count`` encodings of 1-3 states, in no order, so tables repeat apart."""
+    """``count`` encodings of 1-3 states, in no order, so tables repeat apart; each
+    holds tuples of its own, so equal tables are grouped by value."""
     encodings = []
     for _ in range(count):
         m = rng.randint(1, 3)
-        encodings.append((m, *(rng.randrange(m) for _ in range(m * len(inputs))),
-                          *(rng.randrange(len(outputs)) for _ in range(m))))
+        encodings.append((m, tuple(rng.randrange(m) for _ in range(m * len(inputs))),
+                          tuple(rng.randrange(len(outputs)) for _ in range(m))))
     return encodings
 
 
@@ -462,9 +463,9 @@ def test_machine_rows_render_encodings_in_any_order_as_json_does():
 
 def small_rows(inputs, outputs):
     """A :class:`MachineRows` over three completions of one two-state table,
-    adjacent as the search gives them, and their documents."""
-    table = (2, *[1] * len(inputs), *[0] * len(inputs))
-    encodings = [table + lam for lam in ((0, 1), (1, 0), (1, 1))]
+    adjacent as the search gives them but each with a ``delta`` of its own, and
+    their documents."""
+    encodings = [(2, (*[1] * len(inputs), *[0] * len(inputs)), lam) for lam in ((0, 1), (1, 0), (1, 1))]
     return MachineRows(iter(encodings), inputs, outputs), documents(encodings, inputs, outputs)
 
 
@@ -501,7 +502,7 @@ def test_enumerate_streams_its_machine_rows_in_bounded_chunks(tmp_path, monkeypa
 def test_write_atomic_keeps_the_old_target_when_machine_rows_hold_a_refused_value(tmp_path):
     outputs, inputs = WIDE.alphabets
     encodings = consistent_encodings(WIDE, 4)
-    encodings.append((1, object(), 0, 0))  # the last table holds a value json refuses
+    encodings.append((1, (object(), 0), (0,)))  # the last table holds a value json refuses
     target = tmp_path / "report.json"
     target.write_bytes(b"old bytes\n")
     written = []
