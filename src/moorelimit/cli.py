@@ -221,11 +221,14 @@ def cmd_enumerate(args) -> int:
     limit = sys.maxsize // k  # beyond it, the search's flat table could not be indexed
     if bound > limit:
         raise ValueError(f"argument --max-states: must be <= {limit} over {k} inputs, got {bound}")
+    too_deep = (f"argument --max-states: {bound} needs a search deeper than the "
+                f"interpreter's recursion limit of {sys.getrecursionlimit()}")
+    if bound >= sys.getrecursionlimit():  # the search recurses at least bound + 1 frames deep
+        raise ValueError(too_deep)
     try:
         encodings = consistent_encodings(trace, bound)  # sorted, so by state count first
-    except RecursionError:  # the search recurses once per table slot
-        raise ValueError(f"argument --max-states: {bound} needs a search deeper than the "
-                         f"interpreter's recursion limit of {sys.getrecursionlimit()}") from None
+    except RecursionError:  # a bound just below the limit, plus the caller's frames
+        raise ValueError(too_deep) from None
     tally = [bisect_left(encodings, (n + 1,)) for n in range(1, bound + 1)]
     checks = {
         "counts_nondecreasing": all(x <= y for x, y in zip(tally, tally[1:])),

@@ -21,22 +21,26 @@ minimization and no deduplication are needed.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 #: The search is plain Python; benchmark records name it so runs compare.
 BACKEND = "python"
 
 
-def refine(columns, lam) -> list[int]:
+def refine(steps, lam) -> list[int]:
     """Coarsest partition of the states that respects outputs and transitions.
 
-    ``columns`` holds one successor tuple per input (``columns[i][s]`` is
-    the successor of state ``s`` under input ``i``) and ``lam`` the output
+    ``steps`` holds one lookup per input, ``itemgetter(*column)`` of its
+    successor column, so ``steps[i](block)`` is the tuple of the blocks the
+    states step into under input ``i``; it depends on the table alone, so
+    one set serves every output vector of a table.  ``lam`` is the output
     index of each state.  States start grouped by output and are split until
     every block's members step into the same blocks under every input (Moore
     1956).  Returns the block of each state, blocks numbered in order of
     their first state; two states share a block exactly when no experiment
     distinguishes them.  Once every state is alone, no pass can split
-    further, so the result is ``list(range(n))`` at once.
+    further, so the result is ``list(range(n))`` at once: at ``n == 1``
+    before any round, where ``itemgetter`` of one index gives a bare item.
     """
     n = len(lam)
     block = lam
@@ -45,7 +49,7 @@ def refine(columns, lam) -> list[int]:
         sigs: dict[tuple[int, ...], int] = {}
         new = [
             sigs.setdefault(sig, len(sigs))
-            for sig in zip(block, *[map(block.__getitem__, col) for col in columns])
+            for sig in zip(block, *[step(block) for step in steps])
         ]
         if len(sigs) == n_blocks:
             return new
@@ -70,16 +74,17 @@ def consistent_machine_encodings(
     as far as the filled slots allow, and a state forced to two different
     outputs prunes the whole subtree.  States the trace never visits take
     every output.  A complete candidate is kept iff :func:`refine` leaves
-    every state in its own block.  The ``lam`` of each pattern of forced
-    outputs are built once per search.  The result is sorted; equal ``n``
-    means equal ``len(delta)``, so it sorts as ``(n, *delta, *lam)`` would.
+    every state in its own block; each complete table builds its successor
+    lookups once for all its candidates, and the ``lam`` of each pattern of
+    forced outputs are built once per search.  The result is sorted; equal
+    ``n`` means equal ``len(delta)``, so it sorts as ``(n, *delta, *lam)`` would.
     """
     if min(n_states, n_inputs, n_outputs) < 1:
         raise ValueError("state and alphabet sizes must be >= 1")
     if len(trace_outputs) != len(trace_inputs) + 1:
         raise ValueError("trace must have exactly one more output than inputs")
     k = n_inputs
-    steps = len(trace_inputs)
+    n_steps = len(trace_inputs)
     delta = [0] * (n_states * k)
     forced = [-1] * n_states
     forced[0] = trace_outputs[0]
@@ -90,7 +95,7 @@ def consistent_machine_encodings(
 
     def complete(n: int) -> None:
         flat = tuple(delta[: n * k])
-        columns = [flat[i::k] for i in range(k)]
+        steps = [itemgetter(*flat[i::k]) for i in range(k)]  # shared by every lam below
         pattern = tuple(forced[:n])
         candidates = completions.get(pattern)
         if candidates is None:
@@ -99,7 +104,7 @@ def consistent_machine_encodings(
         kept = by_size[n]
         for lam in candidates:
             # blocks are numbered by first state: the last is n - 1 iff all are alone
-            if refine(columns, lam)[-1] == n - 1:
+            if refine(steps, lam)[-1] == n - 1:
                 kept.append((n, flat, lam))
 
     def fill(slot: int, n: int, pos: int, state: int) -> None:
@@ -107,7 +112,7 @@ def consistent_machine_encodings(
         # are discovered and slots below ``slot`` are filled.
         newly_forced = []
         contradicted = False
-        while pos < steps:
+        while pos < n_steps:
             i = state * k + trace_inputs[pos]
             if i >= slot:
                 break

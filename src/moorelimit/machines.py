@@ -13,6 +13,7 @@ with a minimal separating experiment.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from operator import itemgetter
 
 from . import kernels
 
@@ -320,12 +321,14 @@ def canonical_form(machine: Machine) -> Machine:
 def minimize(machine: Machine) -> Machine:
     """Smallest machine equivalent to ``machine``, in canonical form.
 
-    Partition refinement (:func:`moorelimit.kernels.refine`) groups the
-    states no experiment distinguishes; the walk of :func:`canonical_form`
-    then numbers the groups it reaches, building one machine.  Idempotent.
+    Partition refinement (:func:`moorelimit.kernels.refine`), through one
+    successor lookup per input column, groups the states no experiment
+    distinguishes; the walk of :func:`canonical_form` then numbers the
+    groups it reaches, building one machine.  Idempotent.
     """
     block = kernels.refine(
-        list(zip(*machine.transition)), [machine._output_index[sym] for sym in machine.output]
+        [itemgetter(*column) for column in zip(*machine.transition)],
+        [machine._output_index[sym] for sym in machine.output],
     )
     return _walk(machine, block)
 

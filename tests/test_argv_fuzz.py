@@ -8,7 +8,9 @@ exception may escape: exit 0 or 1 prints nothing on stderr, and exit 2, from
 
 The counts stay small or exceed 2**64: a count in between would make
 ``enumerate``, ``chsh`` or ``geiger`` do real work, and ``noclone`` loops once
-per pair, so it never gets a large count at all.
+per pair, so it never gets a large count at all.  The one exception is
+``--max-states`` 10**9, which ``enumerate`` refuses before it searches or
+allocates, since no search that deep fits the interpreter's recursion limit.
 """
 
 import contextlib
@@ -35,7 +37,7 @@ HUGE = [str(2**64), str(2**64 + 1), str(10**30)]
 
 # flag -> (values it takes at parsing, every value drawn for it)
 VALUES = {
-    "--max-states": (["1", "2", "3"], SMALL + HUGE + TEXT),
+    "--max-states": (["1", "2", "3"], SMALL + HUGE + TEXT + [str(10**9)]),  # refused before the search
     "--samples": (["0", "1", "3"], SMALL + HUGE + TEXT),
     "--seed": (["0", "1956"] + HUGE, SMALL + HUGE + TEXT + [str(-(2**64))]),
     "--tol": (["0", "1e-9", "0.5"], ["-1", "1e308", str(2**64)] + TEXT),

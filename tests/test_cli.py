@@ -569,6 +569,47 @@ def test_enumerate_deeper_than_the_recursion_limit_exits_2(capsys, tmp_path):
     assert not out.exists() and [p.name for p in tmp_path.iterdir()] == ["chain.json"]
 
 
+@pytest.mark.parametrize("bound", ["limit", 10**9])
+def test_enumerate_refuses_a_bound_at_the_recursion_limit_before_searching(capsys, tmp_path, monkeypatch, bound):
+    """The search recurses at least bound + 1 frames deep, so such a bound is refused without searching."""
+
+    def search(*_):
+        raise AssertionError("the search ran for a bound it cannot reach")
+
+    monkeypatch.setattr(cli, "consistent_encodings", search)
+    path = write_json(tmp_path / "chain.json", {"steps": [{"output": 0}, {"output": 1}]})
+    limit = sys.getrecursionlimit()
+    bound = limit if bound == "limit" else bound
+    out = tmp_path / "report.json"
+    for extra in ([], ["--out", str(out)]):
+        assert cli.main(["enumerate", path, "--max-states", str(bound), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: argument --max-states: {bound} needs a search deeper "
+                                f"than the interpreter's recursion limit of {limit}\n")
+    assert not out.exists() and [p.name for p in tmp_path.iterdir()] == ["chain.json"]
+
+
+def test_enumerate_search_that_overflows_the_stack_exits_2(capsys, tmp_path, monkeypatch):
+    """A bound just below the limit passes the check up front; the search's RecursionError still exits 2."""
+    calls = []
+
+    def search(trace, bound):
+        calls.append(bound)
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "consistent_encodings", search)
+    path = write_json(tmp_path / "chain.json", {"steps": [{"output": 0}, {"output": 1}]})
+    out = tmp_path / "report.json"
+    for extra in ([], ["--out", str(out)]):
+        assert cli.main(["enumerate", path, "--max-states", "3", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: argument --max-states: 3 needs a search deeper")
+    assert calls == [3, 3]
+    assert not out.exists() and [p.name for p in tmp_path.iterdir()] == ["chain.json"]
+
+
 XYX = {"steps": [{"output": 0}, {"output": 1, "input": "a"}, {"output": 0, "input": "b"}], "input_alphabet": ["a", "b"]}
 
 

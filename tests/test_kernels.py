@@ -1,6 +1,7 @@
 import gc
 import random
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 
@@ -82,10 +83,15 @@ def test_counts_match_oracle_on_random_instances():
             )
 
 
-def assert_refine_matches_oracle(delta, lam):
+def lookups(delta):
+    """One successor getter per input column, as the search and ``minimize`` build them."""
+    return [itemgetter(*column) for column in zip(*delta)]
+
+
+def assert_refine_matches_oracle(delta, lam, steps=None):
     """``refine`` groups exactly the states the oracle finds equivalent, blocks numbered by first state."""
     n, k = len(lam), len(delta[0])
-    block = kernels.refine(list(zip(*delta)), list(lam))
+    block = kernels.refine(lookups(delta) if steps is None else steps, list(lam))
     assert len(block) == n
     for s in range(n):
         for t in range(s + 1, n):
@@ -107,6 +113,28 @@ def assert_refine_matches_oracle(delta, lam):
 )
 def test_refine_renumbers_any_output_indices(delta, lam):
     assert_refine_matches_oracle(delta, lam)
+
+
+def test_refine_of_one_state_runs_no_round():
+    """An itemgetter of one index gives a bare item, so a lone state must return before any lookup."""
+
+    def never(block):
+        raise AssertionError("refine looked up successors of a lone state")
+
+    assert kernels.refine([never, never], (3,)) == [0]
+    assert kernels.refine([itemgetter(0)], [0]) == [0]
+
+
+def test_refine_reuses_one_set_of_lookups_across_output_vectors():
+    """The search refines every output vector of a table through the same lookups."""
+    rng = random.Random(2007)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        n = rng.randint(2, 5 if k == 1 else 3)
+        delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
+        steps = lookups(delta)
+        for _ in range(6):
+            assert_refine_matches_oracle(delta, tuple(rng.randrange(3) for _ in range(n)), steps)
 
 
 def test_refine_matches_naive_equivalence_on_random_machines():
