@@ -31,6 +31,8 @@ from operator import itemgetter
 
 from . import __version__
 from .machines import (
+    AlphabetError,
+    DegenerateAlphabetError,
     Trace,
     consistent,
     consistent_encodings,
@@ -209,7 +211,10 @@ def _witness(trace: Trace) -> tuple[dict, dict]:
 
 def cmd_witness(args) -> int:
     trace, echo = _load_trace(args)
-    results, checks = _witness(trace)
+    try:
+        results, checks = _witness(trace)
+    except DegenerateAlphabetError as exc:  # the trace's own alphabet admits no witness
+        raise ValueError(f"{args.trace}: {exc}") from None
     return _finish(args, "witness", echo, results, checks, lambda: _experiment_table(results))
 
 
@@ -277,7 +282,10 @@ def cmd_enumerate(args) -> int:
 def cmd_distinguish(args) -> int:
     machine_a = _load_machine(args.machine_a)
     machine_b = _load_machine(args.machine_b)
-    experiment = distinguishing_experiment(machine_a, machine_b)
+    try:
+        experiment = distinguishing_experiment(machine_a, machine_b)
+    except AlphabetError as exc:  # each file is valid alone; together their alphabets differ
+        raise ValueError(f"{args.machine_a} and {args.machine_b}: {exc}") from None
     same = experiment is None
     results = {"equivalent": same, "separating_experiment": None}
     if not same:

@@ -27,30 +27,29 @@ from operator import itemgetter
 BACKEND = "python"
 
 
-def refine(steps, lam) -> list[int]:
+def refine(succ, k, lam) -> list[int]:
     """Coarsest partition of the states that respects outputs and transitions.
 
-    ``steps`` holds one lookup per input, ``itemgetter(*column)`` of its
-    successor column, so ``steps[i](block)`` is the tuple of the blocks the
-    states step into under input ``i``; it depends on the table alone, so
-    one set serves every output vector of a table.  ``lam`` is the output
-    index of each state.  States start grouped by output and are split until
-    every block's members step into the same blocks under every input (Moore
-    1956).  Returns the block of each state, blocks numbered in order of
-    their first state; two states share a block exactly when no experiment
-    distinguishes them.  Once every state is alone, no pass can split
-    further, so the result is ``list(range(n))`` at once: at ``n == 1``
-    before any round, where ``itemgetter`` of one index gives a bare item.
+    ``succ`` is the table's one row-major lookup, ``itemgetter(*delta)`` of
+    its flat transition table, and ``k`` the number of inputs: ``succ(block)``
+    is the tuple of the blocks every state steps into, state ``s`` under input
+    ``i`` at ``s * k + i``.  It depends on the table alone, so one lookup
+    serves every output vector of a table.  ``lam`` is the output index of
+    each state.  States start grouped by output and are split until every
+    block's members step into the same blocks under every input (Moore 1956).
+    Returns the block of each state, blocks numbered in order of their first
+    state; two states share a block exactly when no experiment distinguishes
+    them.  Once every state is alone, no pass can split further, so the
+    result is ``list(range(n))`` at once: at ``n == 1`` before any round,
+    where ``n * k`` can be 1 and ``itemgetter`` of one index gives a bare item.
     """
     n = len(lam)
     block = lam
     n_blocks = len(set(block))
     while n_blocks < n:
+        row = iter(succ(block))
         sigs: dict[tuple[int, ...], int] = {}
-        new = [
-            sigs.setdefault(sig, len(sigs))
-            for sig in zip(block, *[step(block) for step in steps])
-        ]
+        new = [sigs.setdefault(sig, len(sigs)) for sig in zip(block, *[row] * k)]  # k successors per state
         if len(sigs) == n_blocks:
             return new
         block = new
@@ -74,10 +73,11 @@ def consistent_machine_encodings(
     as far as the filled slots allow, and a state forced to two different
     outputs prunes the whole subtree.  States the trace never visits take
     every output.  A complete candidate is kept iff :func:`refine` leaves
-    every state in its own block; each complete table builds its successor
-    lookups once for all its candidates, and the ``lam`` of each pattern of
-    forced outputs are built once per search.  The result is sorted; equal
-    ``n`` means equal ``len(delta)``, so it sorts as ``(n, *delta, *lam)`` would.
+    every state in its own block; each complete table builds its one
+    row-major successor lookup once for all its candidates, and the ``lam``
+    of each pattern of forced outputs are built once per search.  The result
+    is sorted; equal ``n`` means equal ``len(delta)``, so it sorts as
+    ``(n, *delta, *lam)`` would.
     """
     if min(n_states, n_inputs, n_outputs) < 1:
         raise ValueError("state and alphabet sizes must be >= 1")
@@ -95,7 +95,7 @@ def consistent_machine_encodings(
 
     def complete(n: int) -> None:
         flat = tuple(delta[: n * k])
-        steps = [itemgetter(*flat[i::k]) for i in range(k)]  # shared by every lam below
+        succ = itemgetter(*flat)  # shared by every lam below
         pattern = tuple(forced[:n])
         candidates = completions.get(pattern)
         if candidates is None:
@@ -104,7 +104,7 @@ def consistent_machine_encodings(
         kept = by_size[n]
         for lam in candidates:
             # blocks are numbered by first state: the last is n - 1 iff all are alone
-            if refine(steps, lam)[-1] == n - 1:
+            if refine(succ, k, lam)[-1] == n - 1:
                 kept.append((n, flat, lam))
 
     def fill(slot: int, n: int, pos: int, state: int) -> None:

@@ -322,12 +322,13 @@ def minimize(machine: Machine) -> Machine:
     """Smallest machine equivalent to ``machine``, in canonical form.
 
     Partition refinement (:func:`moorelimit.kernels.refine`), through one
-    successor lookup per input column, groups the states no experiment
-    distinguishes; the walk of :func:`canonical_form` then numbers the
-    groups it reaches, building one machine.  Idempotent.
+    row-major lookup of the flattened transition rows, groups the states no
+    experiment distinguishes; the walk of :func:`canonical_form` then numbers
+    the groups it reaches, building one machine.  Idempotent.
     """
     block = kernels.refine(
-        [itemgetter(*column) for column in zip(*machine.transition)],
+        itemgetter(*[t for row in machine.transition for t in row]),
+        len(machine.input_alphabet),
         [machine._output_index[sym] for sym in machine.output],
     )
     return _walk(machine, block)

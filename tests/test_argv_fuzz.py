@@ -11,10 +11,13 @@ The counts stay small or exceed 2**64: a count in between would make
 per pair, so it never gets a large count at all.  The one exception is
 ``--max-states`` 10**9, which ``enumerate`` refuses before it searches or
 allocates, since no search that deep fits the interpreter's recursion limit.
+The draws seldom pair it with a real trace, so fixed vectors do, at that bound
+and at the recursion limit itself, through the same contract check.
 """
 
 import contextlib
 import io
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -81,20 +84,17 @@ def argvs(draw, command: str, out: str):
     return argv
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@settings(derandomize=True, database=None, max_examples=30, deadline=None)
-@given(data=st.data())
-def test_argument_vectors_keep_the_exit_code_contract(command, data):
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = data.draw(argvs(command, str(Path(tmp) / "out.json")), label="argv")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:  # argparse's usage errors
-                    code = exc.code
+def run_keeping_the_contract(argv) -> tuple[int, str, str]:
+    """``cli.main(argv)`` in process, its exit-code contract checked; returns the
+    code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
     err = err.getvalue()
     assert not caught, "a warning would print more lines on stderr"
     assert "Traceback" not in err
@@ -102,3 +102,27 @@ def test_argument_vectors_keep_the_exit_code_contract(command, data):
         assert sum("error:" in line for line in err.splitlines()) == 1, err
     else:
         assert code in (0, 1) and err == "", (code, err)
+    return code, out.getvalue(), err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_argument_vectors_keep_the_exit_code_contract(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_keeping_the_contract(data.draw(argvs(command, str(Path(tmp) / "out.json")), label="argv"))
+
+
+@pytest.mark.parametrize("form", ["report", "table", "out"])
+@pytest.mark.parametrize("bound", [["--max-states", "1000000000"], ["--max-states={limit}"]], ids=["1e9", "limit"])
+def test_a_bound_too_deep_to_search_is_refused_before_the_search(bound, form, tmp_path, monkeypatch):
+    def search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "consistent_encodings", search)
+    report = tmp_path / "out.json"
+    argv = ["enumerate", TRACES[0]] + [arg.format(limit=sys.getrecursionlimit()) for arg in bound]
+    argv += {"report": [], "table": ["--format", "table"], "out": ["--out", str(report)]}[form]
+    code, out, err = run_keeping_the_contract(argv)
+    assert (code, out, report.exists()) == (2, "", False), err
+    assert err.startswith("error: argument --max-states: "), err

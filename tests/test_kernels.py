@@ -41,6 +41,29 @@ def test_encodings_share_tables_and_output_vectors():
     assert len({id(lam) for _, _, lam in encodings}) == 12  # each built once, though only 7 values differ
 
 
+def test_search_builds_one_lookup_per_complete_table(monkeypatch):
+    """The x,y,x trace at N=4 completes 3746 tables and refines 9039 candidates of
+    them; a change that builds lookups per output vector, or refines more
+    candidates, moves these counts."""
+    built, refined = [], []
+    refine = kernels.refine
+
+    def counting_itemgetter(*items):
+        built.append(len(items))
+        return itemgetter(*items)
+
+    def counting_refine(succ, k, lam):
+        refined.append(len(lam))
+        return refine(succ, k, lam)
+
+    monkeypatch.setattr(kernels, "itemgetter", counting_itemgetter)
+    monkeypatch.setattr(kernels, "refine", counting_refine)
+    encodings = kernels.consistent_machine_encodings(4, 2, 2, (0, 1), (0, 1, 0))
+    assert len(encodings) == 6998
+    assert len(built) == 3746
+    assert len(refined) == 9039
+
+
 def test_search_peak_memory_holds_shared_tuples():
     # trace 0,1 at N=10: 2215 behaviors, about 480 kB of peak when each was one flat tuple of its own
     gc.collect()
@@ -84,14 +107,14 @@ def test_counts_match_oracle_on_random_instances():
 
 
 def lookups(delta):
-    """One successor getter per input column, as the search and ``minimize`` build them."""
-    return [itemgetter(*column) for column in zip(*delta)]
+    """The one row-major successor getter of a table, as the search and ``minimize`` build it."""
+    return itemgetter(*[t for row in delta for t in row])
 
 
-def assert_refine_matches_oracle(delta, lam, steps=None):
+def assert_refine_matches_oracle(delta, lam, succ=None):
     """``refine`` groups exactly the states the oracle finds equivalent, blocks numbered by first state."""
     n, k = len(lam), len(delta[0])
-    block = kernels.refine(lookups(delta) if steps is None else steps, list(lam))
+    block = kernels.refine(lookups(delta) if succ is None else succ, k, list(lam))
     assert len(block) == n
     for s in range(n):
         for t in range(s + 1, n):
@@ -115,26 +138,37 @@ def test_refine_renumbers_any_output_indices(delta, lam):
     assert_refine_matches_oracle(delta, lam)
 
 
-def test_refine_of_one_state_runs_no_round():
+def test_refine_reads_successors_row_major():
+    """State 2 steps into state 1 under input 0, so it is not state 0's twin; read
+    column by column, the same flat table would make states 0 and 2 alike."""
+    delta, lam = ((0, 0), (0, 0), (1, 0)), (0, 1, 0)
+    assert_refine_matches_oracle(delta, lam)
+    assert kernels.refine(lookups(delta), 2, lam) == [0, 1, 2]
+    column_major = itemgetter(*[row[i] for i in range(2) for row in delta])
+    assert kernels.refine(column_major, 2, lam) == [0, 1, 0]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_refine_of_one_state_runs_no_round(k):
     """An itemgetter of one index gives a bare item, so a lone state must return before any lookup."""
 
     def never(block):
         raise AssertionError("refine looked up successors of a lone state")
 
-    assert kernels.refine([never, never], (3,)) == [0]
-    assert kernels.refine([itemgetter(0)], [0]) == [0]
+    assert kernels.refine(never, k, (3,)) == [0]
+    assert kernels.refine(lookups(((0,) * k,)), k, [0]) == [0]
 
 
-def test_refine_reuses_one_set_of_lookups_across_output_vectors():
-    """The search refines every output vector of a table through the same lookups."""
+def test_refine_reuses_one_lookup_across_output_vectors():
+    """The search refines every output vector of a table through the same lookup."""
     rng = random.Random(2007)
     for _ in range(40):
         k = rng.randint(1, 3)
         n = rng.randint(2, 5 if k == 1 else 3)
         delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
-        steps = lookups(delta)
+        succ = lookups(delta)
         for _ in range(6):
-            assert_refine_matches_oracle(delta, tuple(rng.randrange(3) for _ in range(n)), steps)
+            assert_refine_matches_oracle(delta, tuple(rng.randrange(3) for _ in range(n)), succ)
 
 
 def test_refine_matches_naive_equivalence_on_random_machines():

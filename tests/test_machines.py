@@ -59,7 +59,7 @@ def random_machine(rng, n_states=None, n_inputs=None, n_outputs=None):
     n = n_states or rng.randint(1, 5)
     ni = n_inputs or rng.randint(1, 2)
     no = n_outputs or rng.randint(1, 3)
-    inputs = tuple("ab"[:ni])
+    inputs = tuple("abc"[:ni])
     outputs = tuple(range(no))
     return Machine(
         state_count=n,
@@ -326,7 +326,7 @@ def _renumbered(m, perm):
 def test_minimize_is_minimal_canonical_and_blind_to_numbering():
     rng = random.Random(25)
     for _ in range(300):
-        n_inputs = rng.randint(1, 2)
+        n_inputs = rng.randint(1, 3)  # three, so a successor read from the wrong row or column shows
         m = random_machine(rng, n_states=rng.randint(1, 5 if n_inputs == 1 else 3), n_inputs=n_inputs)
         small = minimize(m)
         assert canonical_form(small) == small
@@ -342,6 +342,7 @@ def test_minimize_is_minimal_canonical_and_blind_to_numbering():
             if not any(naive_equivalent((n, s, delta, lam), (n, c, delta, lam), n_inputs) for c in classes):
                 classes.append(s)
         assert small.state_count == len(classes)
+        assert naive_equivalent(machine_as_tuple(m), machine_as_tuple(small), n_inputs)
         perm = list(range(m.state_count))
         rng.shuffle(perm)
         assert minimize(_renumbered(m, perm)) == small

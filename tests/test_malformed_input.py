@@ -336,6 +336,41 @@ def test_a_lone_surrogate_in_a_string_exits_2_naming_file_and_field(case, to_fil
     assert err.startswith(f"error: {tmp_path / field}") and err.count("\n") == 1, err
 
 
+# case -> (argv naming files by their names, {file name: document}, the files the error names)
+LIBRARY_REFUSAL_CASES = {
+    "witness-one-output-symbol": (["witness", "t.json"], {"t.json": {"steps": [{"output": 0}]}}, ["t.json"]),
+    "distinguish-input-alphabets": (
+        ["distinguish", "m.json", "n.json"],
+        {"m.json": MACHINE, "n.json": {**MACHINE, "inputs": ["b"]}}, ["m.json", "n.json"],
+    ),
+    "distinguish-output-alphabets": (
+        ["distinguish", "m.json", "n.json"],
+        {"m.json": MACHINE, "n.json": {**MACHINE, "outputs": [0, "x", "y"]}}, ["m.json", "n.json"],
+    ),
+}
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSAL_CASES))
+def test_a_refusal_of_the_machine_layer_names_the_files(case, to_file, tmp_path):
+    """Files each valid alone that the machine layer refuses: a trace whose one
+    output symbol admits no witness, machines whose alphabets differ."""
+    argv, files, named = LIBRARY_REFUSAL_CASES[case]
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    report = tmp_path / "r.json"
+    if to_file:
+        argv += ["--out", str(report)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    err = err.getvalue()
+    assert (code, out.getvalue(), report.exists()) == (2, "", False), err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(str(tmp_path / name) in err for name in named), err
+
+
 BAD_NAME = os.fsdecode(b"t\x80.json")  # "t\udc80.json": the byte 0x80 is not UTF-8
 
 # case -> (argv, the files it reads, the argument the error names)
