@@ -6,6 +6,9 @@ symbols: ``delta[s][i]`` is the successor of state ``s`` under input index
 over every state count and every initial state, filters by direct simulation,
 and dedupes by pairwise behavioral comparison over exhaustively many words.
 Exponential in everything; only usable on tiny instances, which is the point.
+``reference_encodings`` reaches two inputs at four states: it lists every
+canonical table without pruning by the trace, simulates each output vector
+and minimizes it by Moore's rounds on plain lists.
 """
 
 import itertools
@@ -64,3 +67,53 @@ def machine_as_tuple(machine):
     delta = tuple(tuple(row) for row in machine.transition)
     lam = tuple(out_index[sym] for sym in machine.output)
     return (machine.state_count, machine.initial, delta, lam)
+
+
+def canonical_tables(max_states, n_inputs):
+    """Every flat table whose states a breadth-first walk from state 0 numbers in order.
+
+    Depth-first over the slots in (state, input) order: a slot's target is a
+    state already discovered or, while fewer than ``max_states`` exist, the
+    next new one.  Yields ``(n, flat)`` in increasing target order.
+    """
+    flat = []
+
+    def walk(n):
+        if len(flat) == n * n_inputs:
+            yield n, tuple(flat)
+            return
+        for target in range(min(n + 1, max_states)):
+            flat.append(target)
+            yield from walk(max(n, target + 1))
+            flat.pop()
+
+    yield from walk(1)
+
+
+def moore_blocks(n, n_inputs, flat, lam):
+    """Number of Moore-equivalence classes, by rounds of list signatures from the outputs."""
+    block = list(lam)
+    while True:
+        rows = [[block[s]] + [block[flat[s * n_inputs + i]] for i in range(n_inputs)] for s in range(n)]
+        distinct = []
+        for row in rows:
+            if row not in distinct:
+                distinct.append(row)
+        new = [distinct.index(row) for row in rows]
+        if len(distinct) == len(set(block)):
+            return len(distinct)
+        block = new
+
+
+def reference_encodings(trace_inputs, trace_outputs, max_states, n_inputs, n_outputs):
+    """Sorted ``(n, flat, lam)`` of every minimal canonical machine that reproduces the trace."""
+    found = []
+    for n, flat in canonical_tables(max_states, n_inputs):
+        for lam in itertools.product(range(n_outputs), repeat=n):
+            state, outputs = 0, [lam[0]]
+            for sym in trace_inputs:
+                state = flat[state * n_inputs + sym]
+                outputs.append(lam[state])
+            if outputs == list(trace_outputs) and moore_blocks(n, n_inputs, flat, lam) == n:
+                found.append((n, flat, lam))
+    return sorted(found)

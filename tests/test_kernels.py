@@ -7,7 +7,7 @@ import pytest
 
 from moorelimit import kernels
 
-from oracle import naive_enumerate, naive_equivalent
+from oracle import naive_enumerate, naive_equivalent, reference_encodings
 
 
 def test_backend_is_reported():
@@ -41,27 +41,37 @@ def test_encodings_share_tables_and_output_vectors():
     assert len({id(lam) for _, _, lam in encodings}) == 12  # each built once, though only 7 values differ
 
 
-def test_search_builds_one_lookup_per_complete_table(monkeypatch):
-    """The x,y,x trace at N=4 completes 3746 tables and refines 9039 candidates of
-    them; a change that builds lookups per output vector, or refines more
-    candidates, moves these counts."""
-    built, refined = [], []
+def test_search_refines_only_what_the_first_round_leaves_open(monkeypatch):
+    """The x,y,x trace at N=4 completes 3746 tables with 9039 candidates between
+    them.  Moore's first round, one signature per table on top of its head's,
+    keeps 3958 candidates and rejects 464; only the other 4617 are refined, and
+    only their 2918 tables build a successor lookup.  A change that checks
+    tables one by one, or refines what round 1 settled, moves these counts."""
+    last_state_calls, lookups_built, refined = [], [], []
     refine = kernels.refine
 
     def counting_itemgetter(*items):
-        built.append(len(items))
-        return itemgetter(*items)
+        getter = itemgetter(*items)
+        if len(items) == 3:  # a last state's signature: the state and its k = 2 successors
+            return lambda lam: last_state_calls.append(1) or getter(lam)
+        lookups_built.append(len(items))
+        return getter
 
-    def counting_refine(succ, k, lam):
-        refined.append(len(lam))
-        return refine(succ, k, lam)
+    def counting_refine(succ, k, block):
+        result = refine(succ, k, block)
+        refined.append(result[-1] == len(block) - 1)
+        return result
 
     monkeypatch.setattr(kernels, "itemgetter", counting_itemgetter)
     monkeypatch.setattr(kernels, "refine", counting_refine)
     encodings = kernels.consistent_machine_encodings(4, 2, 2, (0, 1), (0, 1, 0))
     assert len(encodings) == 6998
-    assert len(built) == 3746
-    assert len(refined) == 9039
+    assert len(last_state_calls) == 9039
+    assert len(lookups_built) == 2918 and min(lookups_built) >= 4  # never for a lone state
+    assert len(refined) == 4617
+    kept_by_round_1 = len(encodings) - sum(refined)
+    assert kept_by_round_1 == 3958
+    assert len(last_state_calls) - len(refined) - kept_by_round_1 == 464
 
 
 def test_search_peak_memory_holds_shared_tuples():
@@ -181,3 +191,42 @@ def test_refine_matches_naive_equivalence_on_random_machines():
         delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
         lam = tuple(rng.choice(codes) for _ in range(n))
         assert_refine_matches_oracle(delta, lam)
+
+
+def first_round(delta, lam):
+    """Moore's first round: each state's output and its successors' outputs, blocks numbered by first state."""
+    sigs = {}
+    return [sigs.setdefault((lam[s],) + tuple(lam[t] for t in row), len(sigs)) for s, row in enumerate(delta)]
+
+
+def test_refine_from_the_first_round_reaches_the_same_blocks():
+    """The search starts ``refine`` from the first-round partition, not from the outputs."""
+    rng = random.Random(1956)
+    chain = tuple((min(s + 1, 7),) for s in range(8)), (0,) * 7 + (1,)  # each round parts one more state
+    cases = [(((0,),), (0,)), chain]  # one state runs no round
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 8)
+        no = rng.randint(1, 3)
+        delta = tuple(tuple(rng.randrange(n) for _ in range(k)) for _ in range(n))
+        cases.append((delta, tuple(rng.randrange(no) for _ in range(n))))
+    for delta, lam in cases:
+        succ, k = lookups(delta), len(delta[0])
+        assert kernels.refine(succ, k, first_round(delta, lam)) == kernels.refine(succ, k, lam), (delta, lam)
+
+
+def test_search_matches_the_reference_search():
+    """The kernel's list, order included, against an independent canonical-table search."""
+    xyx = kernels.consistent_machine_encodings(4, 2, 2, (0, 1), (0, 1, 0))
+    assert xyx == reference_encodings((0, 1), (0, 1, 0), 4, 2, 2)
+    rng = random.Random(2007)
+    for _ in range(20):
+        ni = rng.randint(2, 3)
+        n = rng.randint(2, 4 if ni == 2 else 3)
+        no = rng.randint(1, 3 if ni == 2 else 2)
+        length = rng.randint(2, 6)
+        outs = tuple(rng.randrange(no) for _ in range(length))
+        ins = tuple(rng.randrange(ni) for _ in range(length - 1))
+        assert kernels.consistent_machine_encodings(n, ni, no, ins, outs) == reference_encodings(
+            ins, outs, n, ni, no
+        ), (ins, outs, n, ni, no)
